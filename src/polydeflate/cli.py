@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import deflate, newton, oracle
-from .polysys import ParseError, parse_system
+from .polysys import ParseError, check_point, parse_system
 
 
 class CliError(Exception):
@@ -168,12 +168,15 @@ def _load_json(path):
         raise CliError(1, f"{path}: invalid JSON ({err.msg} at line {err.lineno})")
 
 
-def _load_point(path, expected=None):
-    point = _parse_pairs(_load_json(path), path)
-    if expected is not None and point.shape != (expected,):
-        raise CliError(1, f"{path}: point has {point.size} coordinates, "
-                          f"expected {expected}")
-    return point
+def _checked(point, expected, origin):
+    try:
+        return check_point(point, expected)
+    except ValueError as err:
+        raise CliError(1, f"{origin}: {err}")
+
+
+def _load_point(path, expected):
+    return _checked(_parse_pairs(_load_json(path), path), expected, path)
 
 
 def _load_point_list(path, expected):
@@ -210,9 +213,7 @@ def cmd_solve(args) -> int:
         starts = _load_point_list(args.points, system.nvars)
         reports = []
         for index, start in enumerate(starts):
-            if start.shape != (system.nvars,):
-                raise CliError(1, f"{args.points}[{index}]: point has "
-                                  f"{start.size} coordinates, expected {system.nvars}")
+            start = _checked(start, system.nvars, f"{args.points}[{index}]")
             reports.append(deflate.deflate_loop(
                 system, start, opts, seed=args.seed + index,
                 max_stages=args.max_deflations, reference=reference,

@@ -13,9 +13,18 @@ deflation is applied again, and the total number of stages stays below the
 multiplicity of the root.
 
 Deflated systems are never expanded into polynomials on the evaluation path.
-Values and Jacobians are assembled blockwise from derivative tensors of the
-previous level; ``DeflatedSystem._jet`` carries the recursion, and the
-symbolic tensors of the base Jacobian are differentiated once and cached.
+Stage k gives F_k(y, mu) = [F_{k-1}(y); J_{k-1}(y) B mu; a . mu - 1] (B its
+``mix``, a its ``anchor``). With G(k, [u_1..u_m]) = D^m J_k[u_1, .., u_m] and
+u_i = (p_i, q_i) split into old and multiplier coordinates,
+
+    G(k, u) = [[G(k-1, p),                                     0          ],
+               [G(k-1, [B mu]+p) + sum_i G(k-1, [B q_i]+p_-i), G(k-1, p) B],
+               [0,                                             a if m = 0 ]]
+
+Terms with two or more multiplier directions vanish and are never formed.
+Level 0 contracts the cached symbolic derivative tensors of the base Jacobian.
+One pass gives J_0 .. J_K, hence ``value_and_jacobian``; ``value_at`` stops
+below the top Jacobian.
 
 ``DeflatedSystem.expand`` produces the naive fully-expanded polynomial
 system. It exists for file export and as a cross-check in the tests; it is
@@ -26,12 +35,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import product
 
 import numpy as np
 
 from . import linalg, newton
-from .polysys import Polynomial, PolyMatrix, PolySystem, format_system, _fmt_coeff
+from .polysys import (Polynomial, PolyMatrix, PolySystem, check_point,
+                      format_system, _fmt_coeff)
 
 DEFAULT_SEED = 0x5EED
 STAGE_CAP = 10
@@ -80,7 +90,9 @@ class _BaseTensors:
     """Symbolic derivative tensors of the base Jacobian, cached by multi-index."""
 
     def __init__(self, base: PolySystem):
+        self.nvars = base.nvars
         self.cache = {(): base.jacobian_matrix}
+        self.layouts = {}   # order -> sorted multi-indices, gather index
 
     def get(self, alpha) -> PolyMatrix:
         found = self.cache.get(alpha)
@@ -88,6 +100,22 @@ class _BaseTensors:
             found = self.get(alpha[:-1]).differentiate(alpha[-1])
             self.cache[alpha] = found
         return found
+
+    def derivative(self, order: int, y, powers) -> np.ndarray:
+        """D^order J_0(y), shape (neqs, nvars) plus one nvars axis per order.
+
+        Each sorted multi-index is evaluated once and gathered into place.
+        """
+        if order == 0:
+            return self.cache[()].evaluate(y, powers)
+        if order not in self.layouts:
+            tuples = np.sort(list(product(range(self.nvars), repeat=order)), axis=1)
+            alphas, index = np.unique(tuples, axis=0, return_inverse=True)
+            self.layouts[order] = ([tuple(a) for a in alphas.tolist()],
+                                   index.reshape((self.nvars,) * order))
+        alphas, index = self.layouts[order]
+        stacked = np.array([self.get(alpha).evaluate(y, powers) for alpha in alphas])
+        return stacked.transpose(1, 2, 0)[..., index]
 
 
 class DeflatedSystem:
@@ -139,81 +167,68 @@ class DeflatedSystem:
 
     # -- structured evaluation ----------------------------------------------
 
-    def _jet(self, level: int, z, order: int):
-        """Derivative tensors of the level-k Jacobian, evaluated at ``z``.
+    def _jacobians(self, z, levels: int):
+        """Jacobians J_0 .. J_{levels-1} of the first ``levels`` systems at ``z``."""
+        y = z[:self.base.nvars]
+        powers = {}
+        derivatives = {}
+        mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in self.stages]
+        jacobians = []
 
-        Returns a list indexed by derivative order q; element q maps each
-        sorted multi-index alpha with |alpha| = q to the matrix obtained by
-        differentiating the level-k Jacobian by the variables in alpha.
-        """
-        if level == 0:
-            cache = {}
-            y = z[:self.base.nvars]
-            out = []
-            for q in range(order + 1):
-                tier = {}
-                for alpha in combinations_with_replacement(range(self.base.nvars), q):
-                    tier[alpha] = self._tensors.get(alpha).evaluate(y, cache)
-                out.append(tier)
+        def grad(level, vecs):
+            """D^m J_level[vecs], an neqs x nvars matrix of that level."""
+            if level == 0:
+                out = derivatives.get(len(vecs))
+                if out is None:
+                    out = derivatives[len(vecs)] = self._tensors.derivative(
+                        len(vecs), y, powers)
+                for vec in vecs:
+                    out = out @ vec
+            else:
+                stage = self.stages[level - 1]
+                n0, neq0 = stage.nvars_prev, stage.neqs_prev
+                lower = [u[:n0] for u in vecs]
+                top = grad(level - 1, lower)
+                mid = grad(level - 1, [mixed[level - 1]] + lower)
+                for i, u in enumerate(vecs):
+                    others = lower[:i] + lower[i + 1:]
+                    mid += grad(level - 1, [stage.mix @ u[n0:]] + others)
+                out = np.zeros((stage.neqs_out, stage.nvars_out), dtype=complex)
+                out[:neq0, :n0] = top
+                out[neq0:-1, :n0] = mid
+                out[neq0:-1, n0:] = top @ stage.mix
+                if not vecs:
+                    out[-1, n0:] = stage.anchor
+            if not vecs:
+                jacobians.append(out)
             return out
 
-        stage = self.stages[level - 1]
-        n0, neq0 = stage.nvars_prev, stage.neqs_prev
-        n1, neq1 = stage.nvars_out, stage.neqs_out
-        y = z[:n0]
-        mu = z[n0:n1]
-        below = self._jet(level - 1, y, order + 1)
-        mixed = stage.mix @ mu
-        out = []
-        for q in range(order + 1):
-            tier = {}
-            for alpha in combinations_with_replacement(range(n1), q):
-                split = sum(1 for a in alpha if a < n0)
-                a_vars = alpha[:split]
-                a_mult = alpha[split:]
-                block = np.zeros((neq1, n1), dtype=complex)
-                if not a_mult:
-                    top = below[q][a_vars]
-                    block[:neq0, :n0] = top
-                    for col in range(n0):
-                        key = tuple(sorted(a_vars + (col,)))
-                        block[neq0:2 * neq0, col] = below[q + 1][key] @ mixed
-                    block[neq0:2 * neq0, n0:] = top @ stage.mix
-                    if q == 0:
-                        block[2 * neq0, n0:] = stage.anchor
-                elif len(a_mult) == 1:
-                    direction = stage.mix[:, a_mult[0] - n0]
-                    for col in range(n0):
-                        key = tuple(sorted(a_vars + (col,)))
-                        block[neq0:2 * neq0, col] = below[q][key] @ direction
-                # second and higher multiplier derivatives vanish identically
-                tier[alpha] = block
-            out.append(tier)
-        return out
+        if levels:
+            grad(levels - 1, [])
+        del grad  # a recursive closure is a reference cycle: free the pass now
+        return jacobians
 
-    def value_at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.nvars,):
-            raise ValueError(
-                f"point has {z.shape[0] if z.ndim else 0} coordinates, "
-                f"expected {self.nvars}"
-            )
+    def _value(self, z, jacobians) -> np.ndarray:
         pieces = [self.base.value_at(z[:self.base.nvars])]
-        for level, stage in enumerate(self.stages):
+        for stage, jac in zip(self.stages, jacobians):
             mu = z[stage.nvars_prev:stage.nvars_out]
-            jac_below = self._jet(level, z[:stage.nvars_prev], 0)[0][()]
-            pieces.append(jac_below @ (stage.mix @ mu))
-            pieces.append(np.array([stage.anchor @ mu - 1.0]))
+            pieces.append(jac @ (stage.mix @ mu))
+            pieces.append([stage.anchor @ mu - 1.0])
         return np.concatenate(pieces)
 
+    def value_at(self, z) -> np.ndarray:
+        z = check_point(z, self.nvars)
+        return self._value(z, self._jacobians(z, len(self.stages)))
+
     def jacobian_at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.nvars,):
-            raise ValueError(
-                f"point has {z.shape[0] if z.ndim else 0} coordinates, "
-                f"expected {self.nvars}"
-            )
-        return self._jet(len(self.stages), z, 0)[0][()]
+        z = check_point(z, self.nvars)
+        return self._jacobians(z, len(self.stages) + 1)[-1]
+
+    def value_and_jacobian(self, z):
+        """``(value_at(z), jacobian_at(z))`` from one pass of the recursion."""
+        z = check_point(z, self.nvars)
+        jacobians = self._jacobians(z, len(self.stages) + 1)
+        return self._value(z, jacobians), jacobians[-1]
 
     # -- naive route (export and cross-checks only) --------------------------
 
@@ -267,7 +282,7 @@ def _make_rng(seed_or_rng) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_or_rng))
 
 
-def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0):
+def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=None):
     """Apply one deflation stage at ``x0``; returns (extended, multipliers).
 
     The multipliers are initialized as the minimum-norm least-squares
@@ -275,18 +290,17 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0):
     which pins them near the kernel direction with anchor . lam = 1.
     ``rng_seed`` may be an integer seed or an existing numpy Generator (the
     deflation loop threads one generator through all its stages).
+    ``factored`` is (Jacobian at ``x0``, its ``linalg.svd``) when the caller
+    has them, as the loop does from the last Newton iterate.
     """
     if not 0 < rank_tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
     current = _as_deflated(system)
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (current.nvars,):
-        raise ValueError(
-            f"point has {x0.shape[0] if x0.ndim else 0} coordinates, "
-            f"expected {current.nvars}"
-        )
-    jac = current.jacobian_at(x0)
-    decomp = linalg.svd(jac)
+    x0 = check_point(x0, current.nvars)
+    if factored is None:
+        jac = current.jacobian_at(x0)
+        factored = jac, linalg.svd(jac)
+    jac, decomp = factored
     scale = max(1.0, current.coefficient_scale)
     rank = linalg.scaled_rank(decomp.sigma, rank_tol, scale)
     if rank >= current.nvars:
@@ -325,16 +339,6 @@ def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySy
                 acc = acc + poly.differentiate(j) * direction[j]
         appended.append(acc)
     return PolySystem(list(system.equations) + appended, system.var_names)
-
-
-def evaluate_deflated(deflated: DeflatedSystem, z) -> np.ndarray:
-    """Blockwise evaluation of the deflated system at a full point."""
-    return deflated.value_at(z)
-
-
-def jacobian_deflated(deflated: DeflatedSystem, z) -> np.ndarray:
-    """Blockwise Jacobian of the deflated system at a full point."""
-    return deflated.jacobian_at(z)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +399,7 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         opts = newton.NewtonOptions()
     current = _as_deflated(system)
     base = current.base
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != (current.nvars,):
-        raise ValueError(
-            f"start point has {x0.shape[0] if x0.ndim else 0} coordinates, "
-            f"expected {current.nvars}"
-        )
+    x0 = check_point(x0, current.nvars, "start point")
     scale = max(1.0, base.coefficient_scale)
     residual_initial = float(np.linalg.norm(current.value_at(x0)))
     digits_initial = None
@@ -427,7 +426,8 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         if len(current.stages) >= max_stages:
             break
         pending.append({"corank_before": corank, "invcond_before": invcond})
-        current, multipliers = deflate_once(current, z, opts.rank_tol, rng)
+        current, multipliers = deflate_once(current, z, opts.rank_tol, rng,
+                                            factored=trace.factored)
         z = np.concatenate([z, multipliers])
 
     stage_reports = []
@@ -443,7 +443,6 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
 
     prefix = z[:base.nvars]
     original_sigma = linalg.svd(base.jacobian_at(prefix)).sigma
-    final_sigma = linalg.svd(current.jacobian_at(z)).sigma
     digits_final = None
     if reference is not None:
         digits_final = newton.correct_digits(prefix, reference)
@@ -457,9 +456,9 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         corank_sequence=corank_sequence,
         solution=z,
         residual_initial=residual_initial,
-        residual_final=float(np.linalg.norm(current.value_at(z))),
+        residual_final=trace.residuals[-1],
         inverse_condition_original=linalg.scaled_inverse_condition(original_sigma, scale),
-        inverse_condition_final=linalg.scaled_inverse_condition(final_sigma, scale),
+        inverse_condition_final=trace.inverse_conditions[-1],
         correct_digits_initial=digits_initial,
         correct_digits_final=digits_final,
         stages=stage_reports,

@@ -1,8 +1,8 @@
 """Gauss-Newton iteration with an SVD pseudoinverse and rank monitoring.
 
 ``refine`` drives the iteration on any system object exposing ``nvars``,
-``value_at``, ``jacobian_at`` and ``coefficient_scale`` (both ``PolySystem``
-and the deflated systems do). Its exit statuses:
+``value_and_jacobian`` and ``coefficient_scale`` (both ``PolySystem`` and
+the deflated systems do). Its exit statuses:
 
 ``converged_regular``
     residual at or below ``residual_tol`` with a Jacobian of full column
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .polysys import check_point
 
 CONVERGED_REGULAR = "converged_regular"
 STALLED_SINGULAR = "stalled_singular"
@@ -57,13 +58,18 @@ class NewtonOptions:
 
 @dataclass
 class NewtonTrace:
-    """Per-iterate log: points, residual and step norms, rank diagnostics."""
+    """Per-iterate log: points, residual and step norms, rank diagnostics.
+
+    ``factored`` is the (Jacobian, SVD) pair of the last iterate, which is
+    the point ``refine`` returns.
+    """
 
     points: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
     inverse_conditions: list = field(default_factory=list)
+    factored: tuple | None = None
 
     def record(self, point, residual, rank, inverse_condition):
         self.points.append(np.array(point, dtype=complex))
@@ -128,12 +134,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     """Iterate Gauss-Newton from ``x0``; returns (x_final, status, trace)."""
     if opts is None:
         opts = NewtonOptions()
-    x = np.asarray(x0, dtype=complex)
-    if x.shape != (system.nvars,):
-        raise ValueError(
-            f"start point has {x.shape[0] if x.ndim else 0} coordinates, "
-            f"expected {system.nvars}"
-        )
+    x = check_point(x0, system.nvars, "start point")
     scale = max(1.0, float(system.coefficient_scale))
     ncols = system.nvars
     trace = NewtonTrace()
@@ -142,9 +143,8 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     status = MAX_ITER
 
     for iteration in range(opts.max_iterations + 1):
-        fx = system.value_at(x)
+        fx, jac = system.value_and_jacobian(x)
         residual = float(np.linalg.norm(fx))
-        jac = np.asarray(system.jacobian_at(x), dtype=complex)
         decomp = linalg.svd(jac)
         limit_rank = linalg.scaled_rank(decomp.sigma, opts.rank_tol, scale)
         corank = ncols - limit_rank
@@ -181,4 +181,5 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         if step <= opts.step_tol:
             exhausted = True
 
+    trace.factored = (jac, decomp)
     return x, status, trace

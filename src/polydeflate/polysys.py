@@ -62,6 +62,16 @@ def _fmt_coeff(c: complex) -> str:
     return f"({_fmt_real(c.real)}{sign}{_fmt_real(abs(c.imag))}i)"
 
 
+def check_point(point, nvars: int, what: str = "point") -> np.ndarray:
+    """``point`` as a complex vector; a ValueError, whose text the CLI prints
+    as its one-line error, unless it has ``nvars`` coordinates."""
+    z = np.asarray(point, dtype=complex)
+    if z.shape != (nvars,):
+        raise ValueError(f"{what} has {z.shape[0] if z.ndim else 0} coordinates, "
+                         f"expected {nvars}")
+    return z
+
+
 def _power(point, j, e, cache):
     """x_j**e by repeated squaring, memoized in ``cache`` for this call."""
     if e == 0:
@@ -240,12 +250,11 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def evaluate(self, point: Sequence[complex], cache=None) -> complex:
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
-            )
-        if cache is None:
-            cache = {}
+        check_point(point, self.nvars)
+        return self._evaluate(point, {} if cache is None else cache)
+
+    def _evaluate(self, point, cache) -> complex:
+        """``evaluate`` without the length check, for callers that made it."""
         total = 0j
         for exps, c in self._ordered:
             v = c
@@ -257,10 +266,7 @@ class Polynomial:
 
     def shift(self, center: Sequence[complex]) -> "Polynomial":
         """Recenter: return q with q(u) = p(u + center), same variables."""
-        if len(center) != self.nvars:
-            raise ValueError(
-                f"center has {len(center)} coordinates, expected {self.nvars}"
-            )
+        check_point(center, self.nvars, "center")
         out = {}
         for exps, coeff in self.terms.items():
             partial = {(): coeff}
@@ -391,16 +397,13 @@ class PolyMatrix:
     def evaluate(self, point: Sequence[complex], cache=None) -> np.ndarray:
         if self.is_constant:
             return self.constant_value()
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
-            )
+        check_point(point, self.nvars)
         if cache is None:
             cache = {}
         out = np.empty((self.rows, self.cols), dtype=complex)
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
-                out[i, j] = p.evaluate(point, cache)
+                out[i, j] = p._evaluate(point, cache)
         return out
 
     def differentiate(self, var_index: int) -> "PolyMatrix":
@@ -472,12 +475,10 @@ class PolySystem:
         return hash((self.var_names, self.equations))
 
     def value_at(self, point: Sequence[complex]) -> np.ndarray:
-        if len(point) != self.nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
-            )
-        cache = {}
-        return np.array([p.evaluate(point, cache) for p in self.equations],
+        return self._value(check_point(point, self.nvars), {})
+
+    def _value(self, point, cache) -> np.ndarray:
+        return np.array([p._evaluate(point, cache) for p in self.equations],
                         dtype=complex)
 
     @property
@@ -490,7 +491,12 @@ class PolySystem:
         return self._jac
 
     def jacobian_at(self, point: Sequence[complex]) -> np.ndarray:
-        return self.jacobian_matrix.evaluate(point)
+        return self.jacobian_matrix.evaluate(check_point(point, self.nvars))
+
+    def value_and_jacobian(self, point: Sequence[complex]):
+        """``(value_at(point), jacobian_at(point))`` from one pass over the powers."""
+        point, cache = check_point(point, self.nvars), {}
+        return self._value(point, cache), self.jacobian_matrix.evaluate(point, cache)
 
     @property
     def coefficient_scale(self) -> float:
@@ -508,30 +514,6 @@ class PolySystem:
         return PolySystem(
             [p.compose_linear(matrix) for p in self.equations], new_names
         )
-
-
-# ---------------------------------------------------------------------------
-# module-level operations (thin functional layer over the classes)
-# ---------------------------------------------------------------------------
-
-def evaluate(system: PolySystem, point: Sequence[complex]) -> np.ndarray:
-    """Evaluate every equation of ``system`` at ``point``."""
-    return system.value_at(point)
-
-
-def differentiate(poly: Polynomial, var_index: int) -> Polynomial:
-    """Exact symbolic partial derivative of ``poly``."""
-    return poly.differentiate(var_index)
-
-
-def jacobian(system: PolySystem) -> PolyMatrix:
-    """Symbolic Jacobian matrix, entry (i, j) = d f_i / d x_j."""
-    return system.jacobian_matrix
-
-
-def eval_poly_matrix(matrix: PolyMatrix, point: Sequence[complex]) -> np.ndarray:
-    """Evaluate a polynomial matrix entrywise at ``point``."""
-    return matrix.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

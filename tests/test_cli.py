@@ -187,6 +187,18 @@ def test_wrong_point_length_exits_one(tmp_path, capsys):
     assert "expected 1" in capsys.readouterr().err
 
 
+def test_wrong_point_length_messages_are_one_line(tmp_path, capsys):
+    start = point_file(tmp_path, "p.json", [0.1, 0.2])
+    starts = write_json(tmp_path / "starts.json", [[[0.1, 0.0]], [[0.1, 0.0], [0.2, 0.0]]])
+    for flag, path, origin in (("--point", start, start),
+                               ("--points", starts, f"{starts}[1]")):
+        rc = cli.main(["solve", "--system", fixture("square.ps"),
+                       flag, path, "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {origin}: point has 2 coordinates, expected 1\n")
+
+
 def test_usage_error_exits_one(capsys):
     rc = cli.main(["solve", "--system", "whatever.ps"])
     assert rc == 1

@@ -27,11 +27,19 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def chain_at_origin(name, nvars, max_stages, seed=13):
+def ladder(d):
+    """{x, y^d}: corank 1 at the origin, d - 1 stages, 2^d variables."""
+    return parse_system(f"2\nx y\nx;\ny^{d};\n")
+
+
+def random_point(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def chain_at_origin(system, max_stages, seed=13):
     """Deflate repeatedly at the exact origin, lifting with the multipliers."""
-    system = load_fixture(name)
     current = DeflatedSystem(system)
-    z = np.zeros(nvars, dtype=complex)
+    z = np.zeros(system.nvars, dtype=complex)
     rng = rng_for(seed)
     for _ in range(max_stages):
         try:
@@ -217,7 +225,7 @@ def test_stacked_system_regular_for_almost_all_seeds(name, nvars, m):
 
 @pytest.mark.parametrize("name,nvars,m", FIXTURE_ROOTS)
 def test_structured_matches_expanded(name, nvars, m):
-    current, z = chain_at_origin(name, nvars, max_stages=2)
+    current, z = chain_at_origin(load_fixture(name), max_stages=2)
     expanded = current.expand()
     assert expanded.neqs == current.neqs
     assert expanded.nvars == current.nvars
@@ -235,7 +243,7 @@ def test_structured_matches_expanded(name, nvars, m):
 
 
 def test_leading_block_is_the_base_system(cubic_trio):
-    current, z = chain_at_origin("cubic_trio.ps", 2, max_stages=2)
+    current, z = chain_at_origin(load_fixture("cubic_trio.ps"), max_stages=2)
     rng = rng_for(31)
     point = rng.normal(size=current.nvars) + 1j * rng.normal(size=current.nvars)
     value = current.value_at(point)
@@ -245,7 +253,7 @@ def test_leading_block_is_the_base_system(cubic_trio):
 
 
 def test_structured_jacobian_matches_finite_differences():
-    current, _ = chain_at_origin("cubic_trio.ps", 2, max_stages=2)
+    current, _ = chain_at_origin(load_fixture("cubic_trio.ps"), max_stages=2)
     rng = rng_for(37)
     step = 1e-7
     for _ in range(5):
@@ -261,17 +269,107 @@ def test_structured_jacobian_matches_finite_differences():
 
 
 def test_expand_names_multiplier_variables():
-    current, _ = chain_at_origin("cubic_trio.ps", 2, max_stages=2)
+    current, _ = chain_at_origin(load_fixture("cubic_trio.ps"), max_stages=2)
     assert current.expand().var_names == ("x1", "x2", "l_1_1", "l_2_1", "l_2_2")
 
 
-def test_wrapper_functions_delegate(square):
+def test_value_and_jacobian_equals_single_outputs(square):
     extended, _ = deflate.deflate_once(square, [1e-3], rank_tol=1e-2, rng_seed=11)
-    point = np.array([0.2 + 0.1j, 0.3 - 0.4j])
-    assert np.array_equal(deflate.evaluate_deflated(extended, point),
-                          extended.value_at(point))
-    assert np.array_equal(deflate.jacobian_deflated(extended, point),
-                          extended.jacobian_at(point))
+    deep, _ = chain_at_origin(load_fixture("cubic_trio.ps"), max_stages=2)
+    rng = rng_for(43)
+    for system in (extended, deep):
+        point = random_point(rng, system.nvars)
+        value, jac = system.value_and_jacobian(point)
+        assert np.array_equal(value, system.value_at(point))
+        assert np.array_equal(jac, system.jacobian_at(point))
+
+
+AGREEMENT_CASES = {
+    # name: (system, stages it takes at the origin)
+    "ladder_d3": (lambda: ladder(3), 2),
+    "ladder_d4": (lambda: ladder(4), 3),
+    "ladder_d5": (lambda: ladder(5), 4),
+    "cubic_trio": (lambda: load_fixture("cubic_trio.ps"), 2),
+    "bench9": (lambda: load_fixture("bench9.ps"), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_recursion_matches_expanded_relative(name):
+    make, stages = AGREEMENT_CASES[name]
+    current, _ = chain_at_origin(make(), max_stages=stages + 1)
+    assert len(current.stages) == stages
+    expanded = current.expand()
+    rng = rng_for(47)
+    for _ in range(3):
+        point = random_point(rng, current.nvars)
+        value, jac = current.value_and_jacobian(point)
+        for fast, slow in ((value, expanded.value_at(point)),
+                           (jac, expanded.jacobian_at(point))):
+            assert np.linalg.norm(fast - slow) <= 1e-10 * np.linalg.norm(slow)
+
+
+def test_deep_ladder_levels_match_their_definition():
+    """{x, y^6}, whose five-stage expansion is too slow to build in a test.
+
+    Level by level: the value is [F_(k-1); J_(k-1) B mu; a . mu - 1] with the
+    level below's Jacobian, and the Jacobian times a direction equals the
+    derivative of the value along it. Each coordinate of F_k is a
+    polynomial of degree at most 6 along any line, so the 16-point Cauchy
+    rule below gives that derivative exactly up to rounding.
+    """
+    current, _ = chain_at_origin(ladder(6), max_stages=6)
+    assert len(current.stages) == 5
+    nodes = np.exp(2j * np.pi * np.arange(16) / 16)
+    rng = rng_for(53)
+    for k, stage in enumerate(current.stages, start=1):
+        below = DeflatedSystem(current.base, current.stages[:k - 1])
+        level = DeflatedSystem(current.base, current.stages[:k])
+        for _ in range(3):
+            point = random_point(rng, level.nvars)
+            y, mu = point[:stage.nvars_prev], point[stage.nvars_prev:]
+            value, jac = level.value_and_jacobian(point)
+            definition = np.concatenate([below.value_at(y),
+                                         below.jacobian_at(y) @ (stage.mix @ mu),
+                                         [stage.anchor @ mu - 1.0]])
+            assert (np.linalg.norm(value - definition)
+                    <= 1e-10 * np.linalg.norm(definition))
+            direction = random_point(rng, level.nvars)
+            samples = [level.value_at(point + t * direction) for t in nodes]
+            derivative = sum(f / t for f, t in zip(samples, nodes)) / len(nodes)
+            assert (np.linalg.norm(jac @ direction - derivative)
+                    <= 1e-10 * np.linalg.norm(derivative))
+
+
+@pytest.mark.parametrize("name", ["square.ps", "cross_cubes.ps", "bench9.ps"])
+def test_stageless_system_is_bitwise_its_base(name):
+    system = load_fixture(name)
+    wrapped = DeflatedSystem(system)
+    point = random_point(rng_for(59), system.nvars)
+    pairs = [(wrapped.value_at(point), system.value_at(point)),
+             (wrapped.jacobian_at(point), system.jacobian_at(point))]
+    pairs += zip(wrapped.value_and_jacobian(point), system.value_and_jacobian(point))
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_wrong_length_point_messages(square):
+    # the CLI prints these texts as its one-line errors
+    deflated = DeflatedSystem(square)
+    two = "point has 2 coordinates, expected 1"
+    calls = [
+        (lambda: square.value_and_jacobian([0.1, 0.2]), two),
+        (lambda: deflated.value_and_jacobian([0.1, 0.2]), two),
+        (lambda: deflated.value_and_jacobian(0.1), "point has 0 coordinates, expected 1"),
+        (lambda: deflate.deflate_once(square, [0.0, 0.0]), two),
+        (lambda: newton.refine(square, [0.1, 0.2]), "start " + two),
+        (lambda: deflate.deflate_loop(square, [0.1, 0.2]), "start " + two),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

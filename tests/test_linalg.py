@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polydeflate import linalg
-from polydeflate.polysys import eval_poly_matrix, jacobian
 
 
 def reconstruct(decomp):
@@ -83,7 +82,7 @@ def test_numerical_rank_thresholding():
 
 
 def test_numerical_rank_zero_matrix(cubic_trio):
-    jac_at_origin = eval_poly_matrix(jacobian(cubic_trio), [0.0, 0.0])
+    jac_at_origin = cubic_trio.jacobian_matrix.evaluate([0.0, 0.0])
     decomp = linalg.svd(jac_at_origin)
     info = linalg.numerical_rank(decomp, 1e-8)
     assert info.rank == 0

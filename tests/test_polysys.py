@@ -6,11 +6,7 @@ from polydeflate.polysys import (
     Polynomial,
     PolyMatrix,
     PolySystem,
-    differentiate,
-    eval_poly_matrix,
-    evaluate,
     format_system,
-    jacobian,
     parse_system,
 )
 
@@ -82,60 +78,60 @@ def test_parse_error_missing_polynomials():
 
 
 def test_evaluate_cubic_trio_origin_and_ones(cubic_trio):
-    at_origin = evaluate(cubic_trio, [0.0, 0.0])
+    at_origin = cubic_trio.value_at([0.0, 0.0])
     assert np.allclose(at_origin, [0, 0, 0])
-    at_ones = evaluate(cubic_trio, [1.0, 1.0])
+    at_ones = cubic_trio.value_at([1.0, 1.0])
     # hand sum: each equation has two unit coefficient terms at (1, 1)
     assert np.allclose(at_ones, [2.0, 2.0, 2.0])
 
 
 def test_evaluate_square_at_three(square):
-    assert evaluate(square, [3.0 + 0j])[0] == pytest.approx(9.0)
+    assert square.value_at([3.0 + 0j])[0] == pytest.approx(9.0)
 
 
 def test_evaluate_dimension_mismatch(square):
     with pytest.raises(ValueError):
-        evaluate(square, [1.0, 2.0])
+        square.value_at([1.0, 2.0])
 
 
 def test_differentiate_examples(cubic_trio):
     f1 = cubic_trio.equations[0]
-    d1 = differentiate(f1, 0)
+    d1 = f1.differentiate(0)
     assert d1.terms == {(2, 0): 3.0, (0, 2): 1.0}
     constant = Polynomial.constant(2, 7.5)
-    assert differentiate(constant, 0).is_zero
+    assert constant.differentiate(0).is_zero
     mixed = Polynomial(2, {(1, 2): 1.0})
-    assert differentiate(mixed, 1).terms == {(1, 1): 2.0}
+    assert mixed.differentiate(1).terms == {(1, 1): 2.0}
 
 
 def test_differentiate_index_out_of_range():
     p = Polynomial.variable(2, 0)
     with pytest.raises(IndexError):
-        differentiate(p, 2)
+        p.differentiate(2)
 
 
 def test_jacobian_shapes_and_values(cubic_trio, axis_quartic):
-    jac = jacobian(cubic_trio)
+    jac = cubic_trio.jacobian_matrix
     assert (jac.rows, jac.cols) == (3, 2)
-    assert np.allclose(eval_poly_matrix(jac, [0.0, 0.0]), np.zeros((3, 2)))
+    assert np.allclose(jac.evaluate([0.0, 0.0]), np.zeros((3, 2)))
     # evaluated partials at (1, 1), checked by hand
     assert np.allclose(
-        eval_poly_matrix(jac, [1.0, 1.0]),
+        jac.evaluate([1.0, 1.0]),
         [[4.0, 2.0], [1.0, 5.0], [3.0, 3.0]],
     )
-    jac2 = jacobian(axis_quartic)
-    assert np.allclose(eval_poly_matrix(jac2, [0.0, 1.0]), [[1, 0], [0, 4]])
+    jac2 = axis_quartic.jacobian_matrix
+    assert np.allclose(jac2.evaluate([0.0, 1.0]), [[1, 0], [0, 4]])
 
 
 def test_jacobian_of_regular_quadratic():
     system = parse_system("1\nx\nx^2 - 1;")
-    assert np.allclose(eval_poly_matrix(jacobian(system), [1.0]), [[2.0]])
+    assert np.allclose(system.jacobian_matrix.evaluate([1.0]), [[2.0]])
 
 
 def test_eval_poly_matrix_zero():
     z = Polynomial.zero(2)
     m = PolyMatrix([[z, z], [z, z]])
-    assert np.allclose(eval_poly_matrix(m, [3.0, 4.0]), np.zeros((2, 2)))
+    assert np.allclose(m.evaluate([3.0, 4.0]), np.zeros((2, 2)))
 
 
 def test_roundtrip_identity_on_fixtures(square, axis_quartic, cubic_trio, cross_cubes):
@@ -159,10 +155,10 @@ def test_finite_difference_matches_symbolic(cubic_trio, cross_cubes):
     step = 1e-6
     for system in (cubic_trio, cross_cubes):
         n = system.nvars
-        jac = jacobian(system)
+        jac = system.jacobian_matrix
         for _ in range(20):
             point = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            exact = eval_poly_matrix(jac, point)
+            exact = jac.evaluate(point)
             for j in range(n):
                 offset = np.zeros(n, dtype=complex)
                 offset[j] = step
