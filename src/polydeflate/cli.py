@@ -23,6 +23,7 @@ appear as two-element ``[re, im]`` arrays.
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 import time
@@ -157,6 +158,8 @@ def _parse_pairs(data, origin):
         if (not isinstance(entry, list) or len(entry) != 2
                 or not all(isinstance(v, (int, float)) for v in entry)):
             raise CliError(1, f"{origin}: expected a JSON array of [re, im] pairs")
+        if not all(map(math.isfinite, entry)):
+            raise CliError(1, f"{origin}: coordinate {len(values) + 1} is not finite")
         values.append(complex(entry[0], entry[1]))
     return np.asarray(values, dtype=complex)
 
@@ -323,6 +326,24 @@ def cmd_bench(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+# option -> (accepts its value, the rule in the error message); checked once
+# parsing is done, so a bad value is a one-line error before any work starts
+_OPTION_RULES = {
+    "rank_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "residual_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "max_deflations": (lambda v: v >= 0, "must be nonnegative"),
+    "trials": (lambda v: v >= 1, "must be at least 1"),
+}
+
+
+def _check_options(args):
+    for name, (accepts, rule) in _OPTION_RULES.items():
+        value = getattr(args, name, None)
+        if value is not None and not accepts(value):
+            flag = "--" + name.replace("_", "-")
+            raise CliError(1, f"{flag} {rule}, got {value}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="polydeflate",
                      description="Newton solver with randomized deflation "
@@ -375,6 +396,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_options(args)
         return args.func(args)
     except _UsageError as err:
         print(err.parser.format_usage(), end="", file=sys.stderr)

@@ -243,18 +243,19 @@ class DeflatedSystem:
             lifted = [p.embed(n_out, prefix) for p in equations]
             level = PolySystem(equations, names[:n_prev])
             combined = level.jacobian_matrix.right_multiply(stage.mix)
-            mid = []
-            for row in combined.entries:
-                acc = Polynomial.zero(n_out)
-                for t, entry in enumerate(row):
-                    if not entry.is_zero:
-                        acc = acc + entry.embed(n_out, prefix) \
-                            * Polynomial.variable(n_out, n_prev + t)
-                mid.append(acc)
-            last = Polynomial.constant(n_out, -1.0)
-            for t in range(stage.rank + 1):
-                last = last + stage.anchor[t] * Polynomial.variable(n_out, n_prev + t)
-            equations = lifted + mid + [last]
+            # exponents of multiplier t over the rank + 1 new variables
+            units = [tuple(int(i == t) for i in range(stage.rank + 1))
+                     for t in range(stage.rank + 1)]
+            # row i is sum_t combined[i, t] * multiplier t; no two terms share
+            # a monomial, so every coefficient is copied, never summed
+            mid = [Polynomial._trusted(n_out, {exps + unit: c
+                                               for entry, unit in zip(row, units)
+                                               for exps, c in entry.terms.items()})
+                   for row in combined.entries]
+            last = {(0,) * n_out: -1.0 + 0j}
+            for t, unit in enumerate(units):
+                last[(0,) * n_prev + unit] = complex(stage.anchor[t])
+            equations = lifted + mid + [Polynomial._trusted(n_out, last)]
         return PolySystem(equations, names)
 
 
@@ -336,7 +337,7 @@ def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySy
         acc = Polynomial.zero(system.nvars)
         for j in range(system.nvars):
             if direction[j] != 0:
-                acc = acc + poly.differentiate(j) * direction[j]
+                acc = acc + poly.differentiate(j) * complex(direction[j])
         appended.append(acc)
     return PolySystem(list(system.equations) + appended, system.var_names)
 

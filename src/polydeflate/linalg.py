@@ -37,7 +37,6 @@ class RankInfo:
     """Numerical rank decision for one SVD at one tolerance."""
 
     rank: int
-    tol_used: float
     inverse_condition: float
 
 
@@ -65,10 +64,9 @@ def numerical_rank(decomp: SvdResult, tol: float) -> RankInfo:
     sigma = decomp.sigma
     leading = float(sigma[0])
     if leading == 0.0:
-        return RankInfo(rank=0, tol_used=tol, inverse_condition=0.0)
+        return RankInfo(rank=0, inverse_condition=0.0)
     rank = int(np.count_nonzero(sigma > tol * leading))
-    return RankInfo(rank=rank, tol_used=tol,
-                    inverse_condition=float(sigma[-1] / leading))
+    return RankInfo(rank=rank, inverse_condition=float(sigma[-1] / leading))
 
 
 def pseudo_solve(decomp: SvdResult, b, rank: int) -> np.ndarray:

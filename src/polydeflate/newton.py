@@ -81,27 +81,6 @@ class NewtonTrace:
         return [b / a for a, b in zip(self.steps, self.steps[1:]) if a > 0]
 
 
-def newton_step(f_eval, jac_eval, x, rank_tol: float = 1e-8):
-    """One Gauss-Newton update x - A(x)^+ F(x); also returns the rank info."""
-    x = np.asarray(x, dtype=complex)
-    fx = np.asarray(f_eval(x), dtype=complex)
-    jac = np.asarray(jac_eval(x), dtype=complex)
-    if jac.shape != (fx.shape[0], x.shape[0]):
-        raise ValueError(
-            f"Jacobian shape {jac.shape} does not match system "
-            f"({fx.shape[0]} equations, {x.shape[0]} variables)"
-        )
-    decomp = linalg.svd(jac)
-    info = linalg.numerical_rank(decomp, rank_tol)
-    dx = linalg.pseudo_solve(decomp, fx, info.rank)
-    return x - dx, info
-
-
-def is_regular(rank_info: linalg.RankInfo, ncols: int) -> bool:
-    """Full column rank test that ends the deflation loop."""
-    return rank_info.rank == ncols
-
-
 def correct_digits(x, x_ref) -> float:
     """Agreement with a reference point in decimal digits, clamped to [0, 16].
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
+from operator import add
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def macaulay_matrix(system: PolySystem, x_star, order: int) -> MacaulayMatrix:
     matrix = np.zeros((len(row_labels), len(cols)), dtype=complex)
     for r, (i, beta) in enumerate(row_labels):
         for gamma, coeff in shifted[i].terms.items():
-            alpha = tuple(g + b for g, b in zip(gamma, beta))
+            alpha = tuple(map(add, gamma, beta))
             k = col_index.get(alpha)
             if k is not None:
                 matrix[r, k] = coeff
@@ -111,9 +111,13 @@ def multiplicity(system: PolySystem, x_star, max_order: int = 12,
         raise ValueError(
             f"point is not an approximate root (residual {residual:.3e})"
         )
-    previous = dual_nullity_at_order(system, x_star, 0, tol)
+    # recenter once; shifting by the origin is free, so every order reuses it
+    recentered = PolySystem([p.shift(x_star) for p in system.equations],
+                            system.var_names)
+    origin = np.zeros(system.nvars, dtype=complex)
+    previous = dual_nullity_at_order(recentered, origin, 0, tol)
     for order in range(1, max_order + 1):
-        current = dual_nullity_at_order(system, x_star, order, tol)
+        current = dual_nullity_at_order(recentered, origin, order, tol)
         if current == previous:
             return current
         previous = current

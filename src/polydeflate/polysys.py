@@ -10,6 +10,19 @@ Terms are kept in a fixed graded lexicographic order so that evaluation sums
 in a reproducible sequence. Coefficients whose modulus falls below
 ``DROP_TOL`` (an underflow guard only) are dropped during arithmetic.
 
+Polynomials are built on one of two paths. The public constructor
+``Polynomial(nvars, terms)`` checks its input: every exponent tuple is
+converted to ints, its length and signs are validated, and coefficients are
+converted to Python ``complex``. It serves everything that comes from outside
+(the parser's atoms, ``compose_linear``, callers and tests). Results of
+arithmetic on polynomials (``+``, ``-``, ``*``, ``differentiate``,
+``shift``, ``embed``, ``PolyMatrix.right_multiply``) are built from terms
+that are valid by construction and go through ``Polynomial._trusted``, which
+skips those checks but still drops tiny coefficients and orders the terms.
+Sums (a parsed polynomial, a row times a matrix column) are accumulated in
+one dictionary and constructed once, instead of once per added term, which
+made building a long sum quadratic in its length.
+
 System file format (UTF-8 text)::
 
     # comments run to end of line
@@ -28,7 +41,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from operator import add
 
 import numpy as np
 
@@ -47,7 +61,9 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _grlex_key(exponents):
+def _grlex_item(item):
+    """Sort key of a (exponents, coefficient) pair: graded lexicographic."""
+    exponents = item[0]
     return (sum(exponents), exponents)
 
 
@@ -107,12 +123,12 @@ class Polynomial:
         else:
             items = terms
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != nvars:
                 raise ValueError(
                     f"monomial {exps} has {len(exps)} exponents, expected {nvars}"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise ValueError(f"negative exponent in monomial {exps}")
             c = clean.get(exps, 0j) + complex(coeff)
             if abs(c) < DROP_TOL:
@@ -120,7 +136,29 @@ class Polynomial:
             else:
                 clean[exps] = c
         self.terms = clean
-        self._ordered = tuple(sorted(clean.items(), key=lambda kv: _grlex_key(kv[0])))
+        self._ordered = tuple(sorted(clean.items(), key=_grlex_item))
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Unchecked constructor for arithmetic results.
+
+        ``terms`` maps exponent tuples of length ``nvars`` (nonnegative ints)
+        to Python complex numbers, which holds for anything computed from
+        valid polynomials and Python complex scalars. Coefficients are kept
+        exactly as the checked constructor keeps them: ``+ 0j`` turns a
+        negative zero part into a positive one, and moduli below
+        ``DROP_TOL`` are dropped.
+        """
+        self = object.__new__(cls)
+        self.nvars = nvars
+        clean = {}
+        for exps, c in terms.items():
+            c = c + 0j
+            if not abs(c) < DROP_TOL:
+                clean[exps] = c
+        self.terms = clean
+        self._ordered = tuple(sorted(clean.items(), key=_grlex_item))
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -182,7 +220,7 @@ class Polynomial:
             out = dict(self.terms)
             for exps, c in other.terms.items():
                 out[exps] = out.get(exps, 0j) + c
-            return Polynomial(self.nvars, out)
+            return Polynomial._trusted(self.nvars, out)
         if isinstance(other, (int, float, complex)):
             return self + Polynomial.constant(self.nvars, other)
         return NotImplemented
@@ -190,7 +228,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -204,7 +242,9 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return Polynomial(
+            if isinstance(other, complex):
+                other = complex(other)  # a numpy scalar would give numpy coefficients
+            return Polynomial._trusted(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
             )
         if isinstance(other, Polynomial):
@@ -212,9 +252,9 @@ class Polynomial:
             out = {}
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
-                    key = tuple(a + b for a, b in zip(ea, eb))
+                    key = tuple(map(add, ea, eb))
                     out[key] = out.get(key, 0j) + ca * cb
-            return Polynomial(self.nvars, out)
+            return Polynomial._trusted(self.nvars, out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -228,8 +268,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- calculus and substitution ----------------------------------------
@@ -247,7 +288,7 @@ class Polynomial:
                 continue
             key = exps[:var_index] + (e - 1,) + exps[var_index + 1:]
             out[key] = out.get(key, 0j) + c * e
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def evaluate(self, point: Sequence[complex], cache=None) -> complex:
         check_point(point, self.nvars)
@@ -265,28 +306,27 @@ class Polynomial:
         return total
 
     def shift(self, center: Sequence[complex]) -> "Polynomial":
-        """Recenter: return q with q(u) = p(u + center), same variables."""
-        check_point(center, self.nvars, "center")
+        """Recenter: return q with q(u) = p(u + center), same variables.
+
+        At the origin q is p, and p itself is returned.
+        """
+        center = [complex(c) for c in check_point(center, self.nvars, "center")]
+        moved = [(j, c) for j, c in enumerate(center) if c != 0]
+        if not moved:
+            return self
         out = {}
         for exps, coeff in self.terms.items():
-            partial = {(): coeff}
-            for j in range(self.nvars):
+            # binomial expansion in each variable the term has and the shift moves
+            partial = {exps: coeff}
+            for j, c in moved:
                 e = exps[j]
-                c = complex(center[j])
-                nxt = {}
-                if c == 0:
-                    for prefix, pc in partial.items():
-                        nxt[prefix + (e,)] = pc
-                else:
-                    for prefix, pc in partial.items():
-                        for k in range(e + 1):
-                            val = pc * math.comb(e, k) * c ** (e - k)
-                            key = prefix + (k,)
-                            nxt[key] = nxt.get(key, 0j) + val
-                partial = nxt
+                if e:
+                    partial = {key[:j] + (k,) + key[j + 1:]:
+                               pc * math.comb(e, k) * c ** (e - k)
+                               for key, pc in partial.items() for k in range(e + 1)}
             for key, val in partial.items():
                 out[key] = out.get(key, 0j) + val
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def compose_linear(self, matrix) -> "Polynomial":
         """Substitute x_j = sum_l matrix[j, l] * y_l (matrix is nvars x m)."""
@@ -318,7 +358,7 @@ class Polynomial:
             for j, e in enumerate(exps):
                 key[positions[j]] = e
             out[tuple(key)] = c
-        return Polynomial(nvars_new, out)
+        return Polynomial._trusted(nvars_new, out)
 
     # -- printing ----------------------------------------------------------
 
@@ -416,15 +456,17 @@ class PolyMatrix:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape[0] != self.cols:
             raise ValueError("inner dimensions do not match")
+        columns = [[complex(m) for m in column] for column in matrix.T]
         out = []
         for row in self.entries:
             new_row = []
-            for j in range(matrix.shape[1]):
-                acc = Polynomial.zero(self.nvars)
-                for k, p in enumerate(row):
-                    if matrix[k, j] != 0 and not p.is_zero:
-                        acc = acc + p * matrix[k, j]
-                new_row.append(acc)
+            for column in columns:
+                acc = {}
+                for m, p in zip(column, row):
+                    if m != 0:
+                        for exps, c in p.terms.items():
+                            acc[exps] = acc.get(exps, 0j) + c * m
+                new_row.append(Polynomial._trusted(self.nvars, acc))
             out.append(new_row)
         return PolyMatrix(out)
 
@@ -572,6 +614,8 @@ class _PolyParser:
         self.var_names = list(var_names)
         self.index = {name: k for k, name in enumerate(var_names)}
         self.nvars = len(var_names)
+        self.variables = [Polynomial.variable(self.nvars, k)
+                          for k in range(self.nvars)]
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -604,12 +648,15 @@ class _PolyParser:
         sign = 1.0
         if self.at_op("+", "-"):
             sign = -1.0 if self.next()[1] == "-" else 1.0
-        acc = self.parse_product() * sign
+        first = self.parse_product() * sign
+        if not self.at_op("+", "-"):
+            return first
+        acc = dict(first.terms)
         while self.at_op("+", "-"):
-            op = self.next()[1]
-            term = self.parse_product()
-            acc = acc + term if op == "+" else acc - term
-        return acc
+            negate = self.next()[1] == "-"
+            for exps, c in self.parse_product().terms.items():
+                acc[exps] = acc.get(exps, 0j) + (-c if negate else c)
+        return Polynomial._trusted(self.nvars, acc)
 
     def parse_product(self) -> Polynomial:
         acc = self.parse_power()
@@ -643,7 +690,7 @@ class _PolyParser:
         if kind == "name":
             self.next()
             if value in self.index:
-                return Polynomial.variable(self.nvars, self.index[value])
+                return self.variables[self.index[value]]
             if value in ("i", "j"):
                 return Polynomial.constant(self.nvars, 1j)
             raise ParseError(f"unknown variable {value!r}", line, col)

@@ -1,0 +1,121 @@
+"""Property tests: arithmetic results are what the checked constructor builds.
+
+Sums, products, powers, derivatives, shifts, embeddings and matrix products
+construct their results without the public constructor's input checks.
+Each result here is rebuilt through ``Polynomial(nvars, terms)`` and must
+come back with the same terms, the same order and the same coefficient bits
+(so a negative zero part, which the checked path normalizes, would show),
+with int exponents and Python ``complex`` coefficients.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polydeflate.polysys import DROP_TOL, Polynomial, PolyMatrix
+
+checked = settings(max_examples=60, deadline=None, derandomize=True)
+
+_REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, DROP_TOL, 1e-301]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+COEFFICIENTS = st.builds(complex, _REALS, _REALS)
+
+
+@st.composite
+def polynomials(draw, nvars):
+    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+    return Polynomial(nvars, draw(st.dictionaries(monomials, COEFFICIENTS, max_size=6)))
+
+
+@st.composite
+def pairs(draw):
+    nvars = draw(st.integers(1, 3))
+    return draw(polynomials(nvars)), draw(polynomials(nvars))
+
+
+def bits(p):
+    return [(exps, c.real.hex(), c.imag.hex()) for exps, c in p._ordered]
+
+
+def assert_as_if_checked(result):
+    rebuilt = Polynomial(result.nvars, result.terms)
+    assert rebuilt.terms == result.terms
+    assert bits(rebuilt) == bits(result)
+    assert type(result.nvars) is int
+    for exps, c in result.terms.items():
+        assert type(exps) is tuple and len(exps) == result.nvars
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is complex and abs(c) >= DROP_TOL
+
+
+@checked
+@given(pairs(), COEFFICIENTS)
+def test_ring_operations(pair, scalar):
+    a, b = pair
+    for result in (a + b, a - b, -a, a * b, a * scalar, scalar * a,
+                   a * np.complex128(scalar), a + scalar, scalar - a):
+        assert_as_if_checked(result)
+
+
+@checked
+@given(pairs(), st.integers(0, 4))
+def test_powers(pair, exponent):
+    a, _ = pair
+    assert_as_if_checked(a ** exponent)
+
+
+@checked
+@given(pairs(), st.data())
+def test_differentiate_shift_embed(pair, data):
+    a, _ = pair
+    n = a.nvars
+    assert_as_if_checked(a.differentiate(data.draw(st.integers(0, n - 1))))
+    center = data.draw(st.lists(COEFFICIENTS, min_size=n, max_size=n))
+    assert_as_if_checked(a.shift(center))
+    assert_as_if_checked(a.shift(np.asarray(center)))
+    extra = data.draw(st.integers(0, 2))
+    positions = data.draw(st.permutations(range(n + extra)))[:n]
+    assert_as_if_checked(a.embed(n + extra, positions))
+
+
+@checked
+@given(pairs(), st.data())
+def test_shift_recenters(pair, data):
+    a, _ = pair
+    n = a.nvars
+    # centers with zero coordinates leave those variables alone
+    center = np.array(data.draw(st.lists(st.sampled_from([0j, 1.5 - 0.5j, -2j]),
+                                         min_size=n, max_size=n)))
+    u = np.array(data.draw(st.lists(st.sampled_from([0.25, -1 + 1j, 0.5j]),
+                                    min_size=n, max_size=n)))
+    scale = 1.0 + sum(abs(c) for c in a.terms.values())
+    assert abs(a.shift(center).evaluate(u) - a.evaluate(u + center)) <= 1e-9 * scale * 10 ** n
+
+
+@checked
+@given(pairs(), st.data())
+def test_right_multiply(pair, data):
+    a, b = pair
+    cols = data.draw(st.integers(1, 3))
+    matrix = np.array(data.draw(st.lists(COEFFICIENTS, min_size=2 * cols,
+                                         max_size=2 * cols))).reshape(2, cols)
+    product = PolyMatrix([[a, b], [b * a, -a]]).right_multiply(matrix)
+    for row in product.entries:
+        for entry in row:
+            assert_as_if_checked(entry)
+
+
+def test_checked_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="at least one variable"):
+        Polynomial(0, {})
+    with pytest.raises(ValueError, match="has 1 exponents, expected 2"):
+        Polynomial(2, {(1,): 1.0})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(2, {(1, -1): 1.0})
+    # exponents and coefficients from outside are converted, duplicates summed
+    p = Polynomial(2, [((np.int64(1), 2.0), np.complex128(2.0)), ((1, 2), 1)])
+    assert p.terms == {(1, 2): 3 + 0j}
+    (exps, c), = p.terms.items()
+    assert all(type(e) is int for e in exps) and type(c) is complex

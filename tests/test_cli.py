@@ -290,3 +290,42 @@ def test_bench_rejects_unreachable_stage_count(tmp_path, capsys):
                    "--point", point, "--stages", "2", "--trials", "10"])
     assert rc == 2
     assert "regular after 1 stage(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--rank-tol", "2"], "--rank-tol must lie in (0, 1), got 2.0"),
+    (["solve", "--residual-tol", "0"], "--residual-tol must lie in (0, 1), got 0.0"),
+    (["solve", "--max-deflations", "-1"], "--max-deflations must be nonnegative, got -1"),
+    (["deflate", "--rank-tol", "2"], "--rank-tol must lie in (0, 1), got 2.0"),
+    (["bench", "--trials", "0"], "--trials must be at least 1, got 0"),
+], ids=["solve-rank-tol", "solve-residual-tol", "solve-max-deflations",
+        "deflate-rank-tol", "bench-trials"])
+def test_out_of_range_options_are_one_line_errors(tmp_path, capsys, argv, message):
+    start = point_file(tmp_path, "p.json", [0.1])
+    command, *options = argv
+    required = {"solve": ["--point", start, "--out", str(tmp_path / "r.json")],
+                "deflate": ["--point", start, "--out", str(tmp_path / "d.ps")],
+                "bench": []}[command]
+    rc = cli.main([command, "--system", fixture("square.ps"), *options, *required])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "d.ps").exists()
+
+
+@pytest.mark.parametrize("flag", ["--point", "--points", "--reference"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_points_are_one_line_errors(tmp_path, capsys, flag, value):
+    bad = tmp_path / "bad.json"
+    if flag == "--points":
+        bad.write_text(f"[[[0.1, 0.0]], [[{value}, 0.0]]]")
+        origin = f"{bad}[1]"
+    else:
+        bad.write_text(f"[[0.1, {value}]]")
+        origin = str(bad)
+    good = point_file(tmp_path, "p.json", [0.1])
+    argv = ["solve", "--system", fixture("square.ps"), "--out", str(tmp_path / "r.json")]
+    argv += [flag, str(bad)] if flag != "--reference" else ["--point", good, flag, str(bad)]
+    rc = cli.main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {origin}: coordinate 1 is not finite\n"
+    assert not (tmp_path / "r.json").exists()

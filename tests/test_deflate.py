@@ -6,12 +6,14 @@ system, and the multiplicity drop checked through the dual-space
 counter in :mod:`polydeflate.oracle`.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from polydeflate import deflate, linalg, newton, oracle
 from polydeflate.deflate import DeflatedSystem, DeflationStage, RegularPointError
-from polydeflate.polysys import parse_system
+from polydeflate.polysys import format_system, parse_system
 
 from conftest import load_fixture
 
@@ -537,3 +539,37 @@ def test_format_deflated_round_trips(square):
     point = rng.normal(size=2) + 1j * rng.normal(size=2)
     assert np.linalg.norm(reparsed.value_at(point)
                           - extended.value_at(point)) <= 1e-12
+
+
+# SHA-256 of the format_deflated texts of every stage, deflating at the
+# origin until regular with one generator seeded 13: the export bytes.
+EXPORT_DIGESTS = {
+    "square.ps": (1, "394431f776d87e22bde2b7820b5f237054ccf9afef0cdacac1ab38fb88d31fa8"),
+    "axis_quartic.ps": (3, "3a5fc37aa8972f8569c5cd9985fd5bc0a8a598b75873c9009184ed868437e1ef"),
+    "cubic_trio.ps": (2, "172fa761efa0a0c1c05a752df4ba0030fa24b45639ac13664d24d9c1646a51ec"),
+    "cross_cubes.ps": (1, "333eeb4e050a382aeeae3ef068ef890ee0d65dc8354c4cce810520134d2c4f3e"),
+    "bench9.ps": (1, "f3e877e4f0694992645908e20fe9d48fc5f575ab6292a14ff211c58ad81d0d5b"),
+    "ladder4": (3, "fd7ad0f6b6dc72b13d46712de7a0e36f3d315b925776b6cc36b17a6270ce83e0"),
+    "ladder5": (4, "0bb06d9d29e794047df4f07200c369ce8728d077369408be1494aae2079357dd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_bytes_are_pinned(name):
+    system = ladder(int(name[-1])) if name.startswith("ladder") else load_fixture(name)
+    current = DeflatedSystem(system)
+    z = np.zeros(system.nvars, dtype=complex)
+    rng = rng_for(13)
+    digest = hashlib.sha256()
+    stages = 0
+    while True:
+        try:
+            current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
+        except RegularPointError:
+            break
+        z = np.concatenate([z, multipliers])
+        stages += 1
+        digest.update(deflate.format_deflated(current).encode())
+        expanded = current.expand()
+        assert parse_system(format_system(expanded)) == expanded
+    assert (stages, digest.hexdigest()) == EXPORT_DIGESTS[name]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polydeflate import newton
-from polydeflate.linalg import RankInfo
 from polydeflate.polysys import parse_system
 
 
@@ -11,36 +10,46 @@ def unit_quadratic():
     return parse_system("1\nx\nx^2 - 1;")
 
 
+def first_step(system, x0):
+    """The first Gauss-Newton iterate of ``refine`` and the rank it judged."""
+    _, _, trace = newton.refine(system, x0, newton.NewtonOptions(max_iterations=1))
+    return trace.points[1], trace.ranks[0]
+
+
 def test_newton_step_regular_quadratic(unit_quadratic):
-    x_next, info = newton.newton_step(
-        unit_quadratic.value_at, unit_quadratic.jacobian_at, [2.0]
-    )
+    x_next, rank = first_step(unit_quadratic, [2.0])
     assert x_next[0] == pytest.approx(1.25)
-    assert info.rank == 1
+    assert rank == 1
 
 
 def test_newton_step_halves_at_double_root(square):
-    x_next, _ = newton.newton_step(square.value_at, square.jacobian_at, [0.1])
+    x_next, _ = first_step(square, [0.1])
     assert x_next[0] == pytest.approx(0.05)
 
 
 def test_newton_step_componentwise(axis_quartic):
-    x_next, info = newton.newton_step(
-        axis_quartic.value_at, axis_quartic.jacobian_at, [0.1, 0.1]
-    )
+    x_next, rank = first_step(axis_quartic, [0.1, 0.1])
     # diagonal Jacobian: full step on the linear axis, quarter step on x2^4
     assert np.allclose(x_next, [0.0, 0.075])
-    assert info.rank == 2
+    assert rank == 2
 
 
 def test_newton_step_shape_mismatch(square):
+    class WrongJacobian:
+        nvars = 1
+        coefficient_scale = 1.0
+
+        def value_and_jacobian(self, x):
+            return square.value_at(x), np.eye(3)
+
     with pytest.raises(ValueError):
-        newton.newton_step(square.value_at, lambda x: np.eye(3), [0.1])
+        newton.refine(WrongJacobian(), [0.1])
 
 
 def test_refine_regular_root(unit_quadratic):
     x, status, trace = newton.refine(unit_quadratic, [1.1])
     assert status == newton.CONVERGED_REGULAR
+    assert trace.ranks[-1] == unit_quadratic.nvars   # full column rank
     assert abs(x[0] - 1.0) <= 1e-12
     assert trace.residuals[-1] <= 1e-14
     assert len(trace.points) - 1 <= 5
@@ -101,12 +110,6 @@ def test_refine_quadratic_tail_at_regular_root(unit_quadratic):
     for prev, cur in zip(trace.steps, trace.steps[1:]):
         if prev <= 1e-4:
             assert cur <= 1e3 * prev ** 2
-
-
-def test_is_regular():
-    assert newton.is_regular(RankInfo(2, 1e-8, 0.5), 2)
-    assert not newton.is_regular(RankInfo(0, 1e-8, 0.0), 2)
-    assert not newton.is_regular(RankInfo(3, 1e-8, 0.1), 4)
 
 
 def test_correct_digits_examples():
