@@ -20,8 +20,8 @@ arithmetic on polynomials (``+``, ``-``, ``*``, ``differentiate``,
 that are valid by construction and go through ``Polynomial._trusted``, which
 skips those checks but still drops tiny coefficients and orders the terms.
 Sums (a parsed polynomial, a row times a matrix column) are accumulated in
-one dictionary and constructed once, instead of once per added term, which
-made building a long sum quadratic in its length.
+one dictionary and constructed once: building one per added term would make
+a long sum quadratic in its length.
 
 System file format (UTF-8 text)::
 
