@@ -155,8 +155,9 @@ def _parse_pairs(data, origin):
         raise CliError(1, f"{origin}: expected a JSON array of [re, im] pairs")
     values = []
     for entry in data:
+        # type, not isinstance: JSON true and false load as bool, an int subclass
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)):
+                or not all(type(v) in (int, float) for v in entry)):
             raise CliError(1, f"{origin}: expected a JSON array of [re, im] pairs")
         if not all(map(math.isfinite, entry)):
             raise CliError(1, f"{origin}: coordinate {len(values) + 1} is not finite")
@@ -333,6 +334,7 @@ _OPTION_RULES = {
     "residual_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "max_deflations": (lambda v: v >= 0, "must be nonnegative"),
     "trials": (lambda v: v >= 1, "must be at least 1"),
+    "max_order": (lambda v: v >= 1, "must be at least 1"),
 }
 
 

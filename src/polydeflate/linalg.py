@@ -1,10 +1,12 @@
 """Dense complex linear algebra: SVD, numerical rank, least squares, kernels.
 
 The decomposition itself is delegated to LAPACK through numpy; this module
-fixes the conventions the rest of the package relies on. ``svd`` always
-returns the full factors (U square of size rows, V square of size cols) and
-``A = U diag(sigma) V^H``. Rank decisions compare singular values against
-``tol * sigma_1``; the solver layer additionally uses the scale-anchored
+fixes the conventions the rest of the package relies on. ``svd`` is for
+callers that use the factors: it always returns them in full (U square of
+size rows, V square of size cols) with ``A = U diag(sigma) V^H``.
+``singular_values`` is for callers that read only sigma, and skips forming
+U and V. Rank decisions compare singular values against ``tol * sigma_1``
+(``numerical_rank``); the solver layer additionally uses the scale-anchored
 variants at the bottom of this module, which judge near-singular Jacobians
 against the coefficient scale of the system instead of against a leading
 singular value that itself vanishes toward the root.
@@ -40,28 +42,40 @@ class RankInfo:
     inverse_condition: float
 
 
+def _nonempty(matrix) -> np.ndarray:
+    a = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError("svd needs a nonempty matrix")
+    return a
+
+
 def svd(matrix) -> SvdResult:
     """Full singular value decomposition of a complex matrix."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    rows, cols = a.shape
-    if rows < 1 or cols < 1:
-        raise ValueError("svd needs a nonempty matrix")
+    a = _nonempty(matrix)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(str(exc)) from exc
-    return SvdResult(U=u, sigma=s, V=vh.conj().T, rows=rows, cols=cols)
+    return SvdResult(U=u, sigma=s, V=vh.conj().T, rows=a.shape[0], cols=a.shape[1])
 
 
-def numerical_rank(decomp: SvdResult, tol: float) -> RankInfo:
-    """Count singular values above ``tol * sigma_1``.
+def singular_values(matrix) -> np.ndarray:
+    """Singular values of a complex matrix, descending, without U and V."""
+    a = _nonempty(matrix)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(str(exc)) from exc
+
+
+def numerical_rank(sigma, tol: float) -> RankInfo:
+    """Count the singular values ``sigma`` (descending) above ``tol * sigma_1``.
 
     The reported inverse condition is sigma_min / sigma_1 over all
     min(rows, cols) singular values, and 0 when sigma_1 = 0.
     """
     if not 0 < tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
-    sigma = decomp.sigma
     leading = float(sigma[0])
     if leading == 0.0:
         return RankInfo(rank=0, inverse_condition=0.0)
@@ -83,7 +97,7 @@ def pseudo_solve(decomp: SvdResult, b, rank: int) -> np.ndarray:
 def least_squares(matrix, b, tol: float = 1e-8) -> np.ndarray:
     """Minimum-norm least-squares solution via truncated SVD."""
     decomp = svd(matrix)
-    info = numerical_rank(decomp, tol)
+    info = numerical_rank(decomp.sigma, tol)
     return pseudo_solve(decomp, b, info.rank)
 
 

@@ -152,7 +152,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
                 status = MAX_ITER
             break
 
-        info = linalg.numerical_rank(decomp, opts.rank_tol)
+        info = linalg.numerical_rank(decomp.sigma, opts.rank_tol)
         dx = linalg.pseudo_solve(decomp, fx, info.rank)
         step = float(np.linalg.norm(dx))
         x = x - dx

@@ -13,8 +13,10 @@ at differential order d turns that into the nullity of a finite matrix:
 
 The nullity is nondecreasing in d and becomes stationary exactly at the
 multiplicity, so the first repeat of consecutive nullities is returned.
-Rows are scaled to unit norm before the SVD because the raw rows mix widely
-different coefficient magnitudes.
+Rows are scaled to unit norm because the raw rows mix widely different
+coefficient magnitudes. The nullity is read from the singular values alone
+(``linalg.singular_values``) with the package's relative rank rule
+(``linalg.numerical_rank``); no singular vectors are formed.
 """
 
 from __future__ import annotations
@@ -65,20 +67,26 @@ def macaulay_matrix(system: PolySystem, x_star, order: int) -> MacaulayMatrix:
         raise ValueError(
             f"order {order} needs {len(cols)} columns, above the cap {COLUMN_CAP}"
         )
-    shifted = [p.shift(x_star) for p in system.equations]
+    # each equation's terms by total degree: row (i, beta) reaches a column
+    # only with terms of degree <= order - |beta|, so it stops at the first
+    # term above that, and every term before it lands in a column. The
+    # (degree, exponents) keys are unique, so coefficients are never compared.
+    graded = [sorted((sum(gamma), gamma, coeff)
+                     for gamma, coeff in p.shift(x_star).terms.items())
+              for p in system.equations]
     multipliers = _monomials_upto(n, order - 1) if order > 0 else []
     row_labels = [(i, beta) for i in range(system.neqs) for beta in multipliers]
     col_index = {alpha: k for k, alpha in enumerate(cols)}
     matrix = np.zeros((len(row_labels), len(cols)), dtype=complex)
     for r, (i, beta) in enumerate(row_labels):
-        for gamma, coeff in shifted[i].terms.items():
-            alpha = tuple(map(add, gamma, beta))
-            k = col_index.get(alpha)
-            if k is not None:
-                matrix[r, k] = coeff
-        norm = np.linalg.norm(matrix[r])
-        if norm > 0:
-            matrix[r] /= norm
+        room = order - sum(beta)
+        for degree, gamma, coeff in graded[i]:
+            if degree > room:
+                break
+            matrix[r, col_index[tuple(map(add, gamma, beta))]] = coeff
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms == 0] = 1.0
+    matrix /= norms[:, None]
     return MacaulayMatrix(order=order, matrix=matrix,
                           row_labels=tuple(row_labels), col_labels=tuple(cols))
 
@@ -90,12 +98,8 @@ def dual_nullity_at_order(system: PolySystem, x_star, order: int,
     ncols = mac.matrix.shape[1]
     if mac.matrix.shape[0] == 0:
         return ncols
-    decomp = linalg.svd(mac.matrix)
-    leading = float(decomp.sigma[0])
-    if leading == 0.0:
-        return ncols
-    rank = int(np.count_nonzero(decomp.sigma > tol * leading))
-    return ncols - rank
+    sigma = linalg.singular_values(mac.matrix)
+    return ncols - linalg.numerical_rank(sigma, tol).rank
 
 
 def multiplicity(system: PolySystem, x_star, max_order: int = 12,

@@ -183,7 +183,7 @@ def test_criterion_6_linear_algebra_suite():
         left = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
         right = rng.normal(size=(rank, size)) + 1j * rng.normal(size=(rank, size))
         decomp = linalg.svd(left @ right)
-        assert linalg.numerical_rank(decomp, 1e-8).rank == rank
+        assert linalg.numerical_rank(decomp.sigma, 1e-8).rank == rank
 
     # least-squares optimality against random competitors, and minimum norm
     for trial in range(20):

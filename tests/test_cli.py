@@ -298,14 +298,16 @@ def test_bench_rejects_unreachable_stage_count(tmp_path, capsys):
     (["solve", "--max-deflations", "-1"], "--max-deflations must be nonnegative, got -1"),
     (["deflate", "--rank-tol", "2"], "--rank-tol must lie in (0, 1), got 2.0"),
     (["bench", "--trials", "0"], "--trials must be at least 1, got 0"),
+    (["multiplicity", "--max-order", "0"], "--max-order must be at least 1, got 0"),
 ], ids=["solve-rank-tol", "solve-residual-tol", "solve-max-deflations",
-        "deflate-rank-tol", "bench-trials"])
+        "deflate-rank-tol", "bench-trials", "multiplicity-max-order"])
 def test_out_of_range_options_are_one_line_errors(tmp_path, capsys, argv, message):
     start = point_file(tmp_path, "p.json", [0.1])
     command, *options = argv
     required = {"solve": ["--point", start, "--out", str(tmp_path / "r.json")],
                 "deflate": ["--point", start, "--out", str(tmp_path / "d.ps")],
-                "bench": []}[command]
+                "bench": [],
+                "multiplicity": ["--point", start]}[command]
     rc = cli.main([command, "--system", fixture("square.ps"), *options, *required])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -328,4 +330,22 @@ def test_non_finite_points_are_one_line_errors(tmp_path, capsys, flag, value):
     rc = cli.main(argv)
     assert rc == 1
     assert capsys.readouterr().err == f"error: {origin}: coordinate 1 is not finite\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--point", "--points", "--reference"])
+def test_boolean_coordinates_are_one_line_errors(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    if flag == "--points":
+        bad.write_text("[[[0.1, 0.0]], [[true, 0.0]]]")
+        origin = f"{bad}[1]"
+    else:
+        bad.write_text("[[true, 0]]")
+        origin = str(bad)
+    good = point_file(tmp_path, "p.json", [0.1])
+    argv = ["solve", "--system", fixture("square.ps"), "--out", str(tmp_path / "r.json")]
+    argv += [flag, str(bad)] if flag != "--reference" else ["--point", good, flag, str(bad)]
+    rc = cli.main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {origin}: expected a JSON array of [re, im] pairs\n"
     assert not (tmp_path / "r.json").exists()

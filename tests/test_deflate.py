@@ -134,7 +134,7 @@ def test_double_root_deflation_kills_the_root(square):
     exact = np.array([0.0, 1.0 / stage.anchor[0]])
     # (x, lam) = (0, 1/h) solves x^2 = 0, 2x b lam = 0, h lam - 1 = 0 exactly
     assert np.array_equal(extended.value_at(exact), np.zeros(3))
-    info = linalg.numerical_rank(linalg.svd(extended.jacobian_at(exact)), 1e-8)
+    info = linalg.numerical_rank(linalg.svd(extended.jacobian_at(exact)).sigma, 1e-8)
     assert info.rank == 2
 
 
@@ -216,7 +216,7 @@ def test_stacked_system_regular_for_almost_all_seeds(name, nvars, m):
         mix = deflate.unit_circle_matrix(rng, nvars, rank + 1)
         anchor = deflate.unit_circle_matrix(rng, 1, rank + 1)[0]
         stacked = np.vstack([jac @ mix, anchor[np.newaxis, :]])
-        info = linalg.numerical_rank(linalg.svd(stacked), 1e-8)
+        info = linalg.numerical_rank(linalg.svd(stacked).sigma, 1e-8)
         full += info.rank == rank + 1
     assert full >= 99
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polydeflate import linalg
+from polydeflate import linalg, oracle
 
 
 def reconstruct(decomp):
@@ -49,6 +49,34 @@ def test_svd_rejects_empty():
         linalg.svd(np.zeros((0, 2)))
 
 
+def test_singular_values_match_full_svd(cross_cubes):
+    rng = np.random.default_rng(31)
+    shapes = [(1, 1), (1, 7), (3, 8), (8, 3), (12, 12), (40, 15), (6, 30)]
+    matrices = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    # fixture-derived: a Jacobian off the root and the Macaulay matrices of
+    # orders 1 (fewer rows than columns) and 3 (more rows than columns)
+    matrices.append(cross_cubes.jacobian_at([0.3, -0.2j, 0.1]))
+    matrices += [oracle.macaulay_matrix(cross_cubes, [0.0, 0.0, 0.0], d).matrix
+                 for d in (1, 3)]
+    assert matrices[-2].shape[0] < matrices[-2].shape[1]
+    for a in matrices:
+        sigma = linalg.singular_values(a)
+        expected = linalg.svd(a).sigma
+        assert sigma.shape == expected.shape
+        assert np.all(np.abs(sigma - expected) <= 1e-13 * expected[0])
+
+
+def test_singular_values_errors():
+    with pytest.raises(ValueError):
+        linalg.singular_values(np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        linalg.singular_values(np.zeros((3, 0)))
+    bad = np.eye(3, dtype=complex)
+    bad[0, 1] = np.nan
+    with pytest.raises(linalg.SvdConvergenceError):
+        linalg.singular_values(bad)
+
+
 def test_svd_random_suite():
     rng = np.random.default_rng(2024)
     for trial in range(200):
@@ -69,7 +97,7 @@ def test_svd_rank_deficient_constructions():
         a = left @ right if r else np.zeros((rows, cols), dtype=complex)
         decomp = linalg.svd(a)
         check_invariants(a, decomp)
-        info = linalg.numerical_rank(decomp, 1e-8)
+        info = linalg.numerical_rank(decomp.sigma, 1e-8)
         assert info.rank == r
 
 
@@ -77,14 +105,14 @@ def test_numerical_rank_thresholding():
     decomp = linalg.SvdResult(
         U=np.eye(2), sigma=np.array([1.0, 1e-12]), V=np.eye(2), rows=2, cols=2
     )
-    info = linalg.numerical_rank(decomp, 1e-8)
+    info = linalg.numerical_rank(decomp.sigma, 1e-8)
     assert info.rank == 1
 
 
 def test_numerical_rank_zero_matrix(cubic_trio):
     jac_at_origin = cubic_trio.jacobian_matrix.evaluate([0.0, 0.0])
     decomp = linalg.svd(jac_at_origin)
-    info = linalg.numerical_rank(decomp, 1e-8)
+    info = linalg.numerical_rank(decomp.sigma, 1e-8)
     assert info.rank == 0
     assert info.inverse_condition == 0.0
     corank = decomp.cols - info.rank
@@ -95,7 +123,7 @@ def test_numerical_rank_inverse_condition():
     decomp = linalg.SvdResult(
         U=np.eye(3), sigma=np.array([5.0, 3.0, 2.0]), V=np.eye(3), rows=3, cols=3
     )
-    info = linalg.numerical_rank(decomp, 1e-8)
+    info = linalg.numerical_rank(decomp.sigma, 1e-8)
     assert info.rank == 3
     assert info.inverse_condition == pytest.approx(0.4)
 
@@ -104,7 +132,7 @@ def test_numerical_rank_tolerance_domain():
     decomp = linalg.svd(np.eye(2))
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            linalg.numerical_rank(decomp, bad)
+            linalg.numerical_rank(decomp.sigma, bad)
 
 
 def test_least_squares_identity():
@@ -161,7 +189,7 @@ def test_kernel_vector_zero_matrix():
 def test_kernel_vector_axis():
     a = np.array([[1.0, 0.0], [0.0, 0.0]])
     decomp = linalg.svd(a)
-    info = linalg.numerical_rank(decomp, 1e-8)
+    info = linalg.numerical_rank(decomp.sigma, 1e-8)
     v = linalg.kernel_vector(decomp, info.rank)
     # (0, 1) up to a unit complex phase
     assert abs(v[0]) <= 1e-12
@@ -199,7 +227,7 @@ def test_rank_matches_exact_on_integer_matrices():
         (np.zeros((4, 3), dtype=complex), 0),
     ]
     for a, expected in cases:
-        info = linalg.numerical_rank(linalg.svd(a), 1e-8)
+        info = linalg.numerical_rank(linalg.svd(a).sigma, 1e-8)
         assert info.rank == expected
 
 
@@ -209,7 +237,7 @@ def test_scaled_rank_sees_through_a_vanishing_jacobian():
     sigma = np.array([2e-9, 1.3e-9])
     assert linalg.scaled_rank(sigma, 1e-8, 1.0) == 0
     assert linalg.numerical_rank(
-        linalg.SvdResult(np.eye(2), sigma, np.eye(2), 2, 2), 1e-8
+        linalg.SvdResult(np.eye(2), sigma, np.eye(2), 2, 2).sigma, 1e-8
     ).rank == 2
     mixed = np.array([2.0, 3e-9])
     assert linalg.scaled_rank(mixed, 1e-8, 1.0) == 1

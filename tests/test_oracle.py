@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from polydeflate import oracle
+from polydeflate import deflate, oracle
+from polydeflate.deflate import DeflatedSystem, RegularPointError
 from polydeflate.linalg import numerical_rank, svd
 from polydeflate.polysys import Polynomial, PolySystem, parse_system
+
+from conftest import load_fixture
 
 
 def univariate_power(d):
@@ -29,7 +32,7 @@ def test_multiplicity_cross_cubes(cross_cubes):
     # this independent computation reports 11 with corank 3 at the origin
     assert oracle.multiplicity(cross_cubes, [0.0, 0.0, 0.0]) == 11
     jac = cross_cubes.jacobian_at([0.0, 0.0, 0.0])
-    info = numerical_rank(svd(jac), 1e-8)
+    info = numerical_rank(svd(jac).sigma, 1e-8)
     assert cross_cubes.nvars - info.rank == 3
 
 
@@ -82,7 +85,7 @@ def test_macaulay_column_count_is_binomial(cubic_trio):
 def test_multiplicity_one_iff_regular(square, cubic_trio):
     pair = parse_system("1\nx\n(x - 1)*(x - 2);")
     assert oracle.multiplicity(pair, [2.0]) == 1
-    info = numerical_rank(svd(pair.jacobian_at([2.0])), 1e-8)
+    info = numerical_rank(svd(pair.jacobian_at([2.0])).sigma, 1e-8)
     assert info.rank == pair.nvars
     # and the converse: the singular fixtures all exceed one
     assert oracle.multiplicity(square, [0.0]) > 1
@@ -107,3 +110,71 @@ def test_multiplicity_invariant_under_unitary_changes(
             q, _ = np.linalg.qr(raw)
             rotated = system.compose_linear(q)
             assert oracle.multiplicity(rotated, origin) == expected
+
+
+def reference_macaulay(system, x_star, order):
+    """The unfiltered loop: every term looked up, every row scaled alone."""
+    shifted = [p.shift(x_star) for p in system.equations]
+    cols = oracle._monomials_upto(system.nvars, order)
+    col_index = {alpha: k for k, alpha in enumerate(cols)}
+    multipliers = oracle._monomials_upto(system.nvars, order - 1) if order else []
+    rows = [(i, beta) for i in range(system.neqs) for beta in multipliers]
+    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
+    for r, (i, beta) in enumerate(rows):
+        for gamma, coeff in shifted[i].terms.items():
+            k = col_index.get(tuple(g + b for g, b in zip(gamma, beta)))
+            if k is not None:
+                matrix[r, k] = coeff
+        norm = np.linalg.norm(matrix[r])
+        if norm > 0:
+            matrix[r] /= norm
+    return matrix
+
+
+def reference_nullity(matrix):
+    """Nullity from the full SVD, with the relative rank rule written out."""
+    if matrix.shape[0] == 0:
+        return matrix.shape[1]
+    sigma = svd(matrix).sigma
+    if sigma[0] == 0.0:
+        return matrix.shape[1]
+    return matrix.shape[1] - int(np.count_nonzero(sigma > oracle.DEFAULT_TOL * sigma[0]))
+
+
+@pytest.mark.parametrize("name, chain", [
+    ("square.ps", [2, 1]),
+    ("axis_quartic.ps", [4, 3, 2, 1]),
+    ("cubic_trio.ps", [7, 3, 1]),
+    ("cross_cubes.ps", [11, 1]),
+    ("bench9.ps", [4, 1]),
+])
+def test_nullities_match_the_unfiltered_full_svd_reference(name, chain):
+    # every system of the deflation chain at the origin, every order up to
+    # the one where the reference nullities repeat
+    current = DeflatedSystem(load_fixture(name))
+    z = np.zeros(current.nvars, dtype=complex)
+    rng = np.random.Generator(np.random.PCG64(13))
+    systems = [(current.base, z)]
+    while True:
+        try:
+            current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
+        except RegularPointError:
+            break
+        z = np.concatenate([z, multipliers])
+        systems.append((current.expand(), z))
+    found = []
+    for system, point in systems:
+        previous = None
+        for order in range(13):
+            reference = reference_macaulay(system, point, order)
+            expected = reference_nullity(reference)
+            mac = oracle.macaulay_matrix(system, point, order)
+            # equal before row scaling; the scaling may differ by one rounding
+            np.testing.assert_allclose(mac.matrix, reference, rtol=1e-14, atol=0)
+            assert oracle.dual_nullity_at_order(system, point, order) == expected
+            if expected == previous:
+                break
+            previous = expected
+        assert oracle.multiplicity(system, point) == expected
+        found.append(expected)
+    assert found == chain
