@@ -12,13 +12,14 @@ Subcommands:
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable
 files, parse errors), 2 when the computation did not reach its goal
-(no convergence, deflation requested at a regular point, benchmark
-mismatch), 3 when the multiplicity search did not stabilize.
+(no convergence, divergence, deflation requested at a regular point,
+benchmark mismatch), 3 when the multiplicity search did not stabilize.
 
 Reports are written with a fixed key order and 17 significant digits,
 so two runs with the same inputs and seed produce identical bytes
 except for the wall-time field on the final line. Complex numbers
-appear as two-element ``[re, im]`` arrays.
+appear as two-element ``[re, im]`` arrays; a number that is not finite
+(after divergence) is written as ``null``.
 """
 
 import argparse
@@ -58,7 +59,9 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _num(x) -> str:
-    return "%.17g" % float(x)
+    """17 significant digits; null for inf and NaN, which JSON cannot hold."""
+    x = float(x)
+    return "%.17g" % x if math.isfinite(x) else "null"
 
 
 def _string(s) -> str:
@@ -399,7 +402,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_options(args)
-        return args.func(args)
+        # an iterate that overflows ends its solve with status "diverged";
+        # numpy's overflow warnings would only repeat that on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except _UsageError as err:
         print(err.parser.format_usage(), end="", file=sys.stderr)
         print(f"error: {err}", file=sys.stderr)

@@ -33,6 +33,7 @@ deliberately not used by ``value_at``/``jacobian_at``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -392,8 +393,9 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     Runs ``newton.refine`` on the current system; on a singular stall it
     applies ``deflate_once`` (drawing from one generator seeded once per
     solve), lifts the point with the initial multipliers, and repeats. Stops
-    on regular convergence, on a refinement that gives up (max_iter), or at
-    the stage cap; the cap is reported through the status, not an exception.
+    on regular convergence, on a refinement that gives up (max_iter) or
+    diverges, or at the stage cap; the cap is reported through the status,
+    not an exception.
     """
     start = time.perf_counter()
     if opts is None:
@@ -420,9 +422,7 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         if pending:
             pending[-1]["corank_after"] = corank
             pending[-1]["invcond_after"] = invcond
-        if status == newton.CONVERGED_REGULAR or corank == 0:
-            break
-        if status == newton.MAX_ITER:
+        if status != newton.STALLED_SINGULAR or corank == 0:
             break
         if len(current.stages) >= max_stages:
             break
@@ -443,7 +443,11 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         ))
 
     prefix = z[:base.nvars]
-    original_sigma = linalg.svd(base.jacobian_at(prefix)).sigma
+    original_jac = base.jacobian_at(prefix)
+    inverse_condition_original = math.nan  # no rank to judge after divergence
+    if np.isfinite(original_jac).all():
+        inverse_condition_original = linalg.scaled_inverse_condition(
+            linalg.svd(original_jac).sigma, scale)
     digits_final = None
     if reference is not None:
         digits_final = newton.correct_digits(prefix, reference)
@@ -458,7 +462,7 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         solution=z,
         residual_initial=residual_initial,
         residual_final=trace.residuals[-1],
-        inverse_condition_original=linalg.scaled_inverse_condition(original_sigma, scale),
+        inverse_condition_original=inverse_condition_original,
         inverse_condition_final=trace.inverse_conditions[-1],
         correct_digits_initial=digits_initial,
         correct_digits_final=digits_final,

@@ -14,6 +14,11 @@ the deflated systems do). Its exit statuses:
     shows. This is the signal that deflation is needed.
 ``max_iter``
     the iteration budget ran out without either verdict.
+``diverged``
+    the value or the Jacobian at an iterate is not finite, so no step can
+    be taken. A non-finite Jacobian has no numerical rank: the iterate is
+    recorded with rank 0 and a NaN inverse condition, and ``factored``
+    stays None.
 
 At a multiple root plain Newton contracts linearly (ratios such as 1/2 on a
 double root), so the stall pattern is defined as: the last three step ratios
@@ -35,6 +40,7 @@ from .polysys import check_point
 CONVERGED_REGULAR = "converged_regular"
 STALLED_SINGULAR = "stalled_singular"
 MAX_ITER = "max_iter"
+DIVERGED = "diverged"
 
 _STALL_RATIO = 0.25
 _STALL_WINDOW = 3
@@ -61,7 +67,7 @@ class NewtonTrace:
     """Per-iterate log: points, residual and step norms, rank diagnostics.
 
     ``factored`` is the (Jacobian, SVD) pair of the last iterate, which is
-    the point ``refine`` returns.
+    the point ``refine`` returns; None when the iteration diverged.
     """
 
     points: list = field(default_factory=list)
@@ -124,6 +130,12 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     for iteration in range(opts.max_iterations + 1):
         fx, jac = system.value_and_jacobian(x)
         residual = float(np.linalg.norm(fx))
+        # a finite residual needs finite values; only an infinite one (or an
+        # overflowing norm) makes checking the entries of fx worthwhile
+        if not np.isfinite(jac).all() or not (math.isfinite(residual)
+                                               or np.isfinite(fx).all()):
+            trace.record(x, residual, 0, math.nan)
+            return x, DIVERGED, trace
         decomp = linalg.svd(jac)
         limit_rank = linalg.scaled_rank(decomp.sigma, opts.rank_tol, scale)
         corank = ncols - limit_rank

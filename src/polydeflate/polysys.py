@@ -14,14 +14,23 @@ Polynomials are built on one of two paths. The public constructor
 ``Polynomial(nvars, terms)`` checks its input: every exponent tuple is
 converted to ints, its length and signs are validated, and coefficients are
 converted to Python ``complex``. It serves everything that comes from outside
-(the parser's atoms, ``compose_linear``, callers and tests). Results of
-arithmetic on polynomials (``+``, ``-``, ``*``, ``differentiate``,
-``shift``, ``embed``, ``PolyMatrix.right_multiply``) are built from terms
-that are valid by construction and go through ``Polynomial._trusted``, which
-skips those checks but still drops tiny coefficients and orders the terms.
-Sums (a parsed polynomial, a row times a matrix column) are accumulated in
-one dictionary and constructed once: building one per added term would make
-a long sum quadratic in its length.
+(``compose_linear``, callers and tests). Results of arithmetic on
+polynomials (``+``, ``-``, ``*``, ``**``, ``differentiate``, ``shift``,
+``embed``, ``PolyMatrix.right_multiply``) and parsed polynomials are built
+from terms that are valid by construction and go through
+``Polynomial._trusted``, which skips those checks but still cleans the
+coefficients (``_clean``: drops tiny ones, makes zero parts positive) and
+orders the terms. Sums (a parsed polynomial, a row times a matrix column)
+are accumulated in one dictionary and constructed once: building one per
+added term would make a long sum quadratic in its length.
+
+The parser works on plain term dictionaries. It multiplies with the same
+``_mul_terms`` and ``_pow_terms`` as ``*`` and ``**`` and cleans where they
+clean, so a parsed coefficient has the bits that polynomial arithmetic on
+the same expression gives, and it builds one ``Polynomial`` per equation.
+Syntax errors are reported first; after them, a literal that overflows to
+infinity (``1e400``) or a coefficient that is not finite (``(1e200*x)^2``)
+is a ``ParseError`` too.
 
 System file format (UTF-8 text)::
 
@@ -39,6 +48,7 @@ imaginary unit unless declared as variable names.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
@@ -49,7 +59,6 @@ import numpy as np
 DROP_TOL = 1e-300
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class ParseError(ValueError):
@@ -105,6 +114,41 @@ def _power(point, j, e, cache):
     return v
 
 
+def _clean(terms: dict) -> dict:
+    """``terms`` as polynomial arithmetic keeps them: ``+ 0j`` turns a
+    negative zero part into a positive one, and moduli below ``DROP_TOL``
+    are dropped."""
+    clean = {}
+    for exps, c in terms.items():
+        c = c + 0j
+        if not abs(c) < DROP_TOL:
+            clean[exps] = c
+    return clean
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts, before ``_clean``."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0j) + ca * cb
+    return out
+
+
+def _pow_terms(terms: dict, exponent: int, nvars: int) -> dict:
+    """Clean ``terms`` to a nonnegative power by repeated squaring, every
+    product cleaned."""
+    result = {(0,) * nvars: 1 + 0j}
+    while exponent:
+        if exponent & 1:
+            result = _clean(_mul_terms(result, terms))
+        exponent >>= 1
+        if exponent:
+            terms = _clean(_mul_terms(terms, terms))
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` complex variables."""
 
@@ -144,19 +188,12 @@ class Polynomial:
 
         ``terms`` maps exponent tuples of length ``nvars`` (nonnegative ints)
         to Python complex numbers, which holds for anything computed from
-        valid polynomials and Python complex scalars. Coefficients are kept
-        exactly as the checked constructor keeps them: ``+ 0j`` turns a
-        negative zero part into a positive one, and moduli below
-        ``DROP_TOL`` are dropped.
+        valid polynomials and Python complex scalars. ``_clean`` keeps the
+        coefficients exactly as the checked constructor keeps them.
         """
         self = object.__new__(cls)
         self.nvars = nvars
-        clean = {}
-        for exps, c in terms.items():
-            c = c + 0j
-            if not abs(c) < DROP_TOL:
-                clean[exps] = c
-        self.terms = clean
+        self.terms = clean = _clean(terms)
         self._ordered = tuple(sorted(clean.items(), key=_grlex_item))
         return self
 
@@ -249,12 +286,7 @@ class Polynomial:
             )
         if isinstance(other, Polynomial):
             self._check_compatible(other)
-            out = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(map(add, ea, eb))
-                    out[key] = out.get(key, 0j) + ca * cb
-            return Polynomial._trusted(self.nvars, out)
+            return Polynomial._trusted(self.nvars, _mul_terms(self.terms, other.terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -262,16 +294,8 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.constant(self.nvars, 1.0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return Polynomial._trusted(self.nvars,
+                                   _pow_terms(self.terms, exponent, self.nvars))
 
     # -- calculus and substitution ----------------------------------------
 
@@ -562,145 +586,177 @@ class PolySystem:
 # parsing and printing
 # ---------------------------------------------------------------------------
 
-_TOKEN_OPS = set("+-*^();")
+# one token per match: leading whitespace, then one group; a number directly
+# followed by a lone i or j (no word character after it) is imaginary
+_TOKEN_RE = re.compile(r"""\s*(?:
+      (?P<op>[-+*^();])
+    | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[ij](?!\w))?
+    | (?P<name>[^\W\d]\w*)
+    | (?P<other>\S))""", re.VERBOSE)
 
 
-def _tokenize(chunks, var_names):
-    """Yield (kind, value, line, col) from (line_number, text) chunks."""
+_OUT_OF_RANGE = "polynomial has a coefficient out of range"
+
+
+def _tokenize(lines, var_names):
+    """(kind, text, line, column) tokens of the (line number, text) pairs.
+
+    An operator is its own kind; the others are ``num``, ``imag`` (the text
+    is the number before the unit), ``name``, and a closing ``end`` token at
+    the place of the last token.
+    """
     declared = set(var_names)
     tokens = []
-    for lineno, text in chunks:
-        pos = 0
-        limit = len(text)
-        while pos < limit:
-            ch = text[pos]
-            if ch == "#":
-                break
-            if ch.isspace():
-                pos += 1
-                continue
-            col = pos + 1
-            if ch in _TOKEN_OPS:
-                tokens.append(("op", ch, lineno, col))
-                pos += 1
-                continue
-            m = _NUM_RE.match(text, pos)
-            if m:
-                raw = m.group(0)
-                pos = m.end()
-                if pos < limit and text[pos] in "ij" and text[pos] not in declared:
-                    follower = text[pos + 1] if pos + 1 < limit else ""
-                    if not (follower.isalnum() or follower == "_"):
-                        tokens.append(("imag", complex(0.0, float(raw)), lineno, col))
-                        pos += 1
-                        continue
-                tokens.append(("num", raw, lineno, col))
-                continue
-            if ch.isalpha() or ch == "_":
-                end = pos + 1
-                while end < limit and (text[end].isalnum() or text[end] == "_"):
-                    end += 1
-                tokens.append(("name", text[pos:end], lineno, col))
-                pos = end
-                continue
-            raise ParseError(f"unexpected character {ch!r}", lineno, col)
+    append = tokens.append
+    for lineno, text in lines:
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            value = m[kind]
+            col = m.start(kind) + 1
+            if kind == "op":
+                append((value, value, lineno, col))
+            elif kind == "num":
+                append(("num", value, lineno, col))
+            elif kind == "name":
+                # \w also takes digits such as superscripts; a name starts with a letter
+                if not (value[0].isalpha() or value[0] == "_"):
+                    raise ParseError(f"unexpected character {value[0]!r}", lineno, col)
+                append(("name", value, lineno, col))
+            elif kind == "unit":
+                number = m.start("num") + 1
+                if value in declared:
+                    append(("num", m["num"], lineno, number))
+                    append(("name", value, lineno, col))
+                else:
+                    append(("imag", m["num"], lineno, number))
+            else:
+                raise ParseError(f"unexpected character {value!r}", lineno, col)
+    _, _, line, col = tokens[-1] if tokens else (None, None, 1, 1)
+    append(("end", "", line, col))
     return tokens
 
 
-class _PolyParser:
+class _Parser:
+    """Recursive descent over ``_tokenize`` output, building term dicts.
+
+    Each result is cleaned (``_clean``) where polynomial arithmetic would
+    clean it: every product and power when it is formed, every sum when it
+    is closed, so the coefficients come out as ``+``, ``*`` and ``**`` on
+    polynomials would give them. A power of a variable is the single term
+    1, and multiplying by it leaves a clean coefficient as it is; a product
+    therefore sums the exponents of its variable factors and adds them to
+    its terms once at the end.
+    """
+
     def __init__(self, tokens, var_names):
         self.tokens = tokens
         self.pos = 0
-        self.var_names = list(var_names)
-        self.index = {name: k for k, name in enumerate(var_names)}
         self.nvars = len(var_names)
-        self.variables = [Polynomial.variable(self.nvars, k)
-                          for k in range(self.nvars)]
+        self.index = {name: k for k, name in enumerate(var_names)}
+        self.origin = (0,) * self.nvars
+        # (message, line, column) of the first literal or coefficient that
+        # is not finite; reported once the whole text has parsed
+        self.overflow = None
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def fail(self, message):
+        _, _, line, col = self.tokens[self.pos]
+        raise ParseError(message, line, col)
 
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else ("op", "", 1, 1)
-            raise ParseError(message, last[2], last[3])
-        raise ParseError(message, tok[2], tok[3])
-
-    def at_op(self, *ops):
-        tok = self.peek()
-        return tok is not None and tok[0] == "op" and tok[1] in ops
-
-    def parse_polynomial(self) -> Polynomial:
-        poly = self.parse_sum()
-        if not self.at_op(";"):
-            self.fail("expected ';' after polynomial")
-        self.next()
+    def polynomial(self) -> Polynomial:
+        _, _, line, col = self.tokens[self.pos]
+        try:
+            terms = self.sum()
+            if self.tokens[self.pos][0] != ";":
+                self.fail("expected ';' after polynomial")
+            poly = Polynomial._trusted(self.nvars, terms)
+        except OverflowError:  # abs() of a coefficient beyond the float range
+            raise ParseError(_OUT_OF_RANGE, line, col) from None
+        self.pos += 1
+        if self.overflow is None and not all(map(cmath.isfinite, poly.terms.values())):
+            self.overflow = (_OUT_OF_RANGE, line, col)
         return poly
 
-    def parse_sum(self) -> Polynomial:
+    def sum(self) -> dict:
+        """Terms of a signed sum of products, before ``_clean``."""
+        tokens = self.tokens
+        kind = tokens[self.pos][0]
         sign = 1.0
-        if self.at_op("+", "-"):
-            sign = -1.0 if self.next()[1] == "-" else 1.0
-        first = self.parse_product() * sign
-        if not self.at_op("+", "-"):
-            return first
-        acc = dict(first.terms)
-        while self.at_op("+", "-"):
-            negate = self.next()[1] == "-"
-            for exps, c in self.parse_product().terms.items():
-                acc[exps] = acc.get(exps, 0j) + (-c if negate else c)
-        return Polynomial._trusted(self.nvars, acc)
-
-    def parse_product(self) -> Polynomial:
-        acc = self.parse_power()
-        while self.at_op("*"):
-            self.next()
-            acc = acc * self.parse_power()
+        if kind == "+" or kind == "-":
+            sign = -1.0 if kind == "-" else 1.0
+            self.pos += 1
+        # a clean product times 1.0 or -1.0 needs no cleaning: its moduli
+        # stay, and a negative zero part is lost in the sum or its cleaning
+        acc = {exps: c * sign for exps, c in self.product().items()}
+        kind = tokens[self.pos][0]
+        get = acc.get
+        while kind == "+" or kind == "-":
+            self.pos += 1
+            negate = kind == "-"
+            for exps, c in self.product().items():
+                acc[exps] = get(exps, 0j) + (-c if negate else c)
+            kind = tokens[self.pos][0]
         return acc
 
-    def parse_power(self) -> Polynomial:
-        base = self.parse_atom()
-        if self.at_op("^"):
-            self.next()
-            tok = self.peek()
-            if tok is None or tok[0] != "num" or not tok[1].isdigit():
-                self.fail("exponent must be a nonnegative integer")
-            self.next()
-            return base ** int(tok[1])
-        return base
+    def product(self) -> dict:
+        tokens, index = self.tokens, self.index
+        acc = None  # product of the factors that are not powers of variables
+        exps = None  # summed exponents of the powers of variables
+        while True:
+            kind, value, _, _ = tokens[self.pos]
+            if kind == "name" and value in index:
+                self.pos += 1
+                e = self.exponent() if tokens[self.pos][0] == "^" else 1
+                if exps is None:
+                    exps = [0] * self.nvars
+                exps[index[value]] += e
+            else:
+                factor = self.atom()
+                if tokens[self.pos][0] == "^":
+                    factor = _pow_terms(factor, self.exponent(), self.nvars)
+                acc = factor if acc is None else _clean(_mul_terms(acc, factor))
+            if tokens[self.pos][0] != "*":
+                break
+            self.pos += 1
+        if exps is None:
+            return acc
+        exps = tuple(exps)
+        if acc is None:
+            return {exps: 1 + 0j}
+        return {tuple(map(add, key, exps)): c for key, c in acc.items()}
 
-    def parse_atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        kind, value, line, col = tok
-        if kind == "num":
-            self.next()
-            return Polynomial.constant(self.nvars, float(value))
-        if kind == "imag":
-            self.next()
-            return Polynomial.constant(self.nvars, value)
+    def exponent(self) -> int:
+        """The exponent after a '^'."""
+        self.pos += 1
+        kind, value, _, _ = self.tokens[self.pos]
+        if kind != "num" or not value.isdigit():
+            self.fail("exponent must be a nonnegative integer")
+        self.pos += 1
+        return int(value)
+
+    def atom(self) -> dict:
+        """Clean terms of a number, an undeclared i or j, or a parenthesized sum."""
+        kind, value, line, col = self.tokens[self.pos]
+        if kind == "num" or kind == "imag":
+            self.pos += 1
+            v = float(value)
+            if math.isinf(v) and self.overflow is None:  # no literal is negative or NaN
+                self.overflow = (f"number {value} is out of range", line, col)
+            c = 0j + (complex(v) if kind == "num" else complex(0.0, v))
+            return {} if abs(c) < DROP_TOL else {self.origin: c}
         if kind == "name":
-            self.next()
-            if value in self.index:
-                return self.variables[self.index[value]]
             if value in ("i", "j"):
-                return Polynomial.constant(self.nvars, 1j)
+                self.pos += 1
+                return {self.origin: 0j + 1j}
             raise ParseError(f"unknown variable {value!r}", line, col)
-        if kind == "op" and value == "(":
-            self.next()
-            inner = self.parse_sum()
-            if not self.at_op(")"):
+        if kind == "(":
+            self.pos += 1
+            inner = _clean(self.sum())
+            if self.tokens[self.pos][0] != ")":
                 self.fail("expected ')'")
-            self.next()
+            self.pos += 1
             return inner
+        if kind == "end":
+            self.fail("unexpected end of input")
         self.fail(f"unexpected token {value!r}")
 
 
@@ -732,19 +788,21 @@ def parse_system(text: str) -> PolySystem:
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names", names_line, 1)
     tokens = _tokenize(logical[2:], names)
-    parser = _PolyParser(tokens, names)
+    parser = _Parser(tokens, names)
     equations = []
     for _ in range(count):
-        if parser.peek() is None:
+        if tokens[parser.pos][0] == "end":
             last = logical[-1]
             raise ParseError(
                 f"expected {count} polynomials, found {len(equations)}",
                 last[0], len(last[1]),
             )
-        equations.append(parser.parse_polynomial())
-    extra = parser.peek()
-    if extra is not None:
-        raise ParseError("trailing input after final polynomial", extra[2], extra[3])
+        equations.append(parser.polynomial())
+    kind, _, line, col = tokens[parser.pos]
+    if kind != "end":
+        raise ParseError("trailing input after final polynomial", line, col)
+    if parser.overflow is not None:
+        raise ParseError(*parser.overflow)
     return PolySystem(equations, names)
 
 

@@ -349,3 +349,49 @@ def test_boolean_coordinates_are_one_line_errors(tmp_path, capsys, flag):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {origin}: expected a JSON array of [re, im] pairs\n"
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("body", ["1e400*x^2;", "(1e200*x)^2;", "1e400*x - 1e400*x;"])
+@pytest.mark.parametrize("command", ["solve", "multiplicity"])
+def test_values_out_of_range_are_one_line_errors(tmp_path, capsys, body, command):
+    system = tmp_path / "big.ps"
+    system.write_text(f"1\nx\n{body}\n")
+    start = point_file(tmp_path, "p.json", [0.0])
+    argv = [command, "--system", str(system), "--point", start]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {system}: line 3, column 1: ")
+    assert err.endswith(" out of range\n") and err.count("\n") == 1
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("flag", ["--point", "--points"])
+def test_overflowing_iterate_is_diverged_exit_two(tmp_path, capsys, flag):
+    if flag == "--point":
+        start = write_json(tmp_path / "p.json", [[1e200, 0]])
+    else:
+        start = write_json(tmp_path / "p.json", [[[1e200, 0]], [[0.1, 0]], [[-1e300, 1e300]]])
+    out = tmp_path / "r.json"
+    rc = cli.main(["solve", "--system", fixture("square.ps"), flag, start,
+                   "--out", str(out)])
+    assert rc == 2
+    text = out.read_text()
+    assert "inf" not in text and "nan" not in text.lower()
+    reports = _strict_json(text)
+    if flag == "--point":
+        reports = [reports]
+    statuses = [r["status"] for r in reports]
+    assert statuses == (["diverged"] if flag == "--point"
+                        else ["diverged", "converged_regular", "diverged"])
+    first = reports[0]
+    assert first["residual_initial"] is None and first["residual_final"] is None
+    assert first["inverse_condition_final"] is None
+    assert first["solution"] == [[1e200, 0]]
+    assert capsys.readouterr().err == ""

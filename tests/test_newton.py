@@ -90,6 +90,19 @@ def test_refine_trace_budget(square):
     assert status == newton.MAX_ITER
 
 
+@pytest.mark.parametrize("start, iterations", [(1e200, 1), (1e-160, 2)])
+def test_refine_stops_when_values_overflow(unit_quadratic, start, iterations):
+    # from 1e-160 the first step is about 5e159 long, and x^2 overflows there
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, status, trace = newton.refine(unit_quadratic, [start])
+    assert status == newton.DIVERGED
+    assert len(trace.points) == iterations
+    assert trace.ranks[-1] == 0 and np.isnan(trace.inverse_conditions[-1])
+    assert not np.isfinite(trace.residuals[-1])
+    assert trace.factored is None
+    np.testing.assert_array_equal(x, trace.points[-1])
+
+
 def test_refine_residual_never_blows_up(square, cubic_trio, cross_cubes):
     starts = {
         "square": ([0.1], square),

@@ -219,3 +219,27 @@ def test_compose_linear_preserves_evaluation():
     for _ in range(5):
         y = rng.normal(size=2) + 1j * rng.normal(size=2)
         assert q.evaluate(y) == pytest.approx(p.evaluate(mat @ y))
+
+
+@pytest.mark.parametrize("body, column, message", [
+    ("1e400*x^2;", 1, "number 1e400 is out of range"),
+    ("x + (2-1e400i);", 8, "number 1e400 is out of range"),
+    ("(1e200*x)^2;", 1, "polynomial has a coefficient out of range"),
+    ("1e308*x + 1e308*x;", 1, "polynomial has a coefficient out of range"),
+    ("(1.5e308+1.5e308i)*x;", 1, "polynomial has a coefficient out of range"),
+])
+def test_values_beyond_the_float_range_are_parse_errors(body, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(f"2\nx\nx;\n{body}\n")
+    assert (err.value.line, err.value.column) == (4, column)
+    assert str(err.value) == f"line 4, column {column}: {message}"
+
+
+def test_syntax_errors_are_reported_before_values_out_of_range():
+    with pytest.raises(ParseError, match="line 4, column 3: unexpected token ';'"):
+        parse_system("2\nx\n1e400*x;\nx+;\n")
+
+
+def test_tiny_literals_underflow_and_drop():
+    p = parse_system("1\nx\n1e-310*x + 1e-400 + 1e-300*x^2 + 1e-200*1e-200;").equations[0]
+    assert p.terms == {(2,): 1e-300 + 0j}
