@@ -7,13 +7,11 @@ Subcommands:
 * ``deflate``: apply one deflation stage at a point and write the
   expanded polynomial system.
 * ``multiplicity``: print the dual-space multiplicity of a root.
-* ``bench``: compare structured evaluation of a deflated system with
-  evaluation of its expanded polynomials.
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable
 files, parse errors), 2 when the computation did not reach its goal
-(no convergence, divergence, deflation requested at a regular point,
-benchmark mismatch), 3 when the multiplicity search did not stabilize.
+(no convergence, divergence, deflation requested at a regular point),
+3 when the multiplicity search did not stabilize.
 
 Reports are written with a fixed key order and 17 significant digits,
 so two runs with the same inputs and seed produce identical bytes
@@ -23,11 +21,11 @@ appear as two-element ``[re, im]`` arrays; a number that is not finite
 """
 
 import argparse
+import functools
 import json
 import math
 import pathlib
 import sys
-import time
 
 import numpy as np
 
@@ -270,62 +268,6 @@ def cmd_multiplicity(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    system = _load_system(args.system)
-    name = pathlib.Path(args.system).stem
-    if args.point is not None:
-        point = _load_point(args.point, system.nvars)
-    else:
-        point = np.zeros(system.nvars, dtype=complex)
-    print(f"system: {name} ({system.neqs} equations, {system.nvars} variables)")
-    if system.nvars < 8:
-        print("note: below benchmark size (fewer than 8 variables)")
-
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    current = deflate.DeflatedSystem(system)
-    z = point
-    for stage in range(args.stages):
-        try:
-            current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
-        except deflate.RegularPointError:
-            raise CliError(2, f"system is regular after {stage} stage(s); "
-                              f"cannot apply {args.stages}")
-        z = np.concatenate([z, multipliers])
-    expanded = current.expand()
-    print(f"deflated: {args.stages} stage(s), {current.neqs} equations, "
-          f"{current.nvars} variables")
-
-    samples = [rng.normal(size=current.nvars) + 1j * rng.normal(size=current.nvars)
-               for _ in range(max(args.trials, 20))]
-    worst = 0.0
-    for sample in samples[:20]:
-        slow_value = expanded.value_at(sample)
-        fast_value = current.value_at(sample)
-        scale = 1.0 + np.linalg.norm(slow_value)
-        worst = max(worst, np.linalg.norm(fast_value - slow_value) / scale)
-        slow_jac = expanded.jacobian_at(sample)
-        fast_jac = current.jacobian_at(sample)
-        jscale = 1.0 + np.linalg.norm(slow_jac)
-        worst = max(worst, np.linalg.norm(fast_jac - slow_jac) / jscale)
-    print(f"equivalence over 20 points: max relative difference {_num(worst)}")
-    if worst > 1e-10:
-        raise CliError(2, "structured and expanded evaluation disagree")
-
-    def clock(value_at, jacobian_at) -> float:
-        begin = time.perf_counter()
-        for sample in samples[:args.trials]:
-            value_at(sample)
-            jacobian_at(sample)
-        return time.perf_counter() - begin
-
-    structured = clock(current.value_at, current.jacobian_at)
-    naive = clock(expanded.value_at, expanded.jacobian_at)
-    print(f"structured: {_num(structured)} s for {args.trials} evaluations")
-    print(f"expanded: {_num(naive)} s for {args.trials} evaluations")
-    print(f"ratio: {_num(structured / naive)}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
@@ -336,7 +278,6 @@ _OPTION_RULES = {
     "rank_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "residual_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "max_deflations": (lambda v: v >= 0, "must be nonnegative"),
-    "trials": (lambda v: v >= 1, "must be at least 1"),
     "max_order": (lambda v: v >= 1, "must be at least 1"),
 }
 
@@ -349,7 +290,9 @@ def _check_options(args):
             raise CliError(1, f"{flag} {rule}, got {value}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(prog="polydeflate",
                      description="Newton solver with randomized deflation "
                                  "for singular roots of polynomial systems")
@@ -385,15 +328,6 @@ def build_parser() -> _Parser:
     mult.add_argument("--point", required=True)
     mult.add_argument("--max-order", type=int, default=12)
     mult.set_defaults(func=cmd_multiplicity)
-
-    bench = commands.add_parser("bench",
-                                help="time structured vs expanded evaluation")
-    bench.add_argument("--system", required=True)
-    bench.add_argument("--stages", type=int, default=1)
-    bench.add_argument("--trials", type=int, default=1000)
-    bench.add_argument("--point", help="deflation point (default: origin)")
-    bench.add_argument("--seed", type=int, default=deflate.DEFAULT_SEED)
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -319,30 +319,6 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
     return current.with_stage(stage), multipliers
 
 
-def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySystem:
-    """Append directional derivatives along a kernel vector of the Jacobian.
-
-    No multiplier variables are added; the result has the same variables and
-    twice the equations. Kept as a cross-validation route: its output must
-    also have strictly smaller multiplicity at the root.
-    """
-    x0 = np.asarray(x0, dtype=complex)
-    decomp = linalg.svd(system.jacobian_at(x0))
-    scale = max(1.0, system.coefficient_scale)
-    rank = linalg.scaled_rank(decomp.sigma, rank_tol, scale)
-    if rank >= system.nvars:
-        raise RegularPointError("Jacobian has full column rank at the given point")
-    direction = linalg.kernel_vector(decomp, rank)
-    appended = []
-    for poly in system.equations:
-        acc = Polynomial.zero(system.nvars)
-        for j in range(system.nvars):
-            if direction[j] != 0:
-                acc = acc + poly.differentiate(j) * complex(direction[j])
-        appended.append(acc)
-    return PolySystem(list(system.equations) + appended, system.var_names)
-
-
 # ---------------------------------------------------------------------------
 # the top-level loop and its report
 # ---------------------------------------------------------------------------
@@ -404,7 +380,6 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     base = current.base
     x0 = check_point(x0, current.nvars, "start point")
     scale = max(1.0, base.coefficient_scale)
-    residual_initial = float(np.linalg.norm(current.value_at(x0)))
     digits_initial = None
     if reference is not None:
         digits_initial = newton.correct_digits(x0[:base.nvars], reference)
@@ -416,6 +391,8 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     status = newton.MAX_ITER
     while True:
         z, status, trace = newton.refine(current, z, opts)
+        if not corank_sequence:   # the first refinement's first iterate is x0
+            residual_initial = trace.residuals[0]
         corank = current.nvars - trace.ranks[-1]
         invcond = trace.inverse_conditions[-1]
         corank_sequence.append(corank)

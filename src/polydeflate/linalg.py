@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: SVD, numerical rank, least squares, kernels.
+"""Dense complex linear algebra: SVD, numerical rank and least squares.
 
 The decomposition itself is delegated to LAPACK through numpy; this module
 fixes the conventions the rest of the package relies on. ``svd`` is for
@@ -34,14 +34,6 @@ class SvdResult:
     cols: int
 
 
-@dataclass(frozen=True)
-class RankInfo:
-    """Numerical rank decision for one SVD at one tolerance."""
-
-    rank: int
-    inverse_condition: float
-
-
 def _nonempty(matrix) -> np.ndarray:
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -68,19 +60,11 @@ def singular_values(matrix) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
-def numerical_rank(sigma, tol: float) -> RankInfo:
-    """Count the singular values ``sigma`` (descending) above ``tol * sigma_1``.
-
-    The reported inverse condition is sigma_min / sigma_1 over all
-    min(rows, cols) singular values, and 0 when sigma_1 = 0.
-    """
+def numerical_rank(sigma, tol: float) -> int:
+    """Count the singular values ``sigma`` (descending) above ``tol * sigma_1``."""
     if not 0 < tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
-    leading = float(sigma[0])
-    if leading == 0.0:
-        return RankInfo(rank=0, inverse_condition=0.0)
-    rank = int(np.count_nonzero(sigma > tol * leading))
-    return RankInfo(rank=rank, inverse_condition=float(sigma[-1] / leading))
+    return int(np.count_nonzero(sigma > tol * float(sigma[0])))
 
 
 def pseudo_solve(decomp: SvdResult, b, rank: int) -> np.ndarray:
@@ -97,19 +81,7 @@ def pseudo_solve(decomp: SvdResult, b, rank: int) -> np.ndarray:
 def least_squares(matrix, b, tol: float = 1e-8) -> np.ndarray:
     """Minimum-norm least-squares solution via truncated SVD."""
     decomp = svd(matrix)
-    info = numerical_rank(decomp.sigma, tol)
-    return pseudo_solve(decomp, b, info.rank)
-
-
-def kernel_vector(decomp: SvdResult, rank: int) -> np.ndarray:
-    """Unit right singular vector for the smallest singular value.
-
-    With V full (cols x cols), the column at index ``rank`` spans the most
-    nearly null direction once ``rank`` columns are deemed independent.
-    """
-    if rank >= decomp.cols:
-        raise ValueError("matrix has full numerical column rank, no kernel vector")
-    return decomp.V[:, rank].copy()
+    return pseudo_solve(decomp, b, numerical_rank(decomp.sigma, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -44,19 +44,19 @@ DIVERGED = "diverged"
 
 _STALL_RATIO = 0.25
 _STALL_WINDOW = 3
+_STEP_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class NewtonOptions:
     max_iterations: int = 50
     residual_tol: float = 1e-12
-    step_tol: float = 1e-14
     rank_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("residual_tol", "step_tol", "rank_tol"):
+        for name in ("residual_tol", "rank_tol"):
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
@@ -164,12 +164,12 @@ def refine(system, x0, opts: NewtonOptions | None = None):
                 status = MAX_ITER
             break
 
-        info = linalg.numerical_rank(decomp.sigma, opts.rank_tol)
-        dx = linalg.pseudo_solve(decomp, fx, info.rank)
+        rank = linalg.numerical_rank(decomp.sigma, opts.rank_tol)
+        dx = linalg.pseudo_solve(decomp, fx, rank)
         step = float(np.linalg.norm(dx))
         x = x - dx
         trace.steps.append(step)
-        if step <= opts.step_tol:
+        if step <= _STEP_TOL:
             exhausted = True
 
     trace.factored = (jac, decomp)

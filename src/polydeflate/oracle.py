@@ -16,7 +16,9 @@ multiplicity, so the first repeat of consecutive nullities is returned.
 Rows are scaled to unit norm because the raw rows mix widely different
 coefficient magnitudes. The nullity is read from the singular values alone
 (``linalg.singular_values``) with the package's relative rank rule
-(``linalg.numerical_rank``); no singular vectors are formed.
+(``linalg.numerical_rank``) at the fixed tolerance ``DEFAULT_TOL``; no
+singular vectors are formed. A point whose residual is above
+``ROOT_RESIDUAL_TOL``, or not finite, is rejected as not a root.
 """
 
 from __future__ import annotations
@@ -37,12 +39,9 @@ ROOT_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MacaulayMatrix:
-    """Order-d annihilation matrix with its row and column labels."""
+    """Order-d annihilation matrix, rows scaled to unit norm."""
 
-    order: int
     matrix: np.ndarray
-    row_labels: tuple
-    col_labels: tuple
 
 
 def _monomials_upto(nvars: int, degree: int):
@@ -75,10 +74,10 @@ def macaulay_matrix(system: PolySystem, x_star, order: int) -> MacaulayMatrix:
                      for gamma, coeff in p.shift(x_star).terms.items())
               for p in system.equations]
     multipliers = _monomials_upto(n, order - 1) if order > 0 else []
-    row_labels = [(i, beta) for i in range(system.neqs) for beta in multipliers]
+    rows = [(i, beta) for i in range(system.neqs) for beta in multipliers]
     col_index = {alpha: k for k, alpha in enumerate(cols)}
-    matrix = np.zeros((len(row_labels), len(cols)), dtype=complex)
-    for r, (i, beta) in enumerate(row_labels):
+    matrix = np.zeros((len(rows), len(cols)), dtype=complex)
+    for r, (i, beta) in enumerate(rows):
         room = order - sum(beta)
         for degree, gamma, coeff in graded[i]:
             if degree > room:
@@ -87,23 +86,20 @@ def macaulay_matrix(system: PolySystem, x_star, order: int) -> MacaulayMatrix:
     norms = np.linalg.norm(matrix, axis=1)
     norms[norms == 0] = 1.0
     matrix /= norms[:, None]
-    return MacaulayMatrix(order=order, matrix=matrix,
-                          row_labels=tuple(row_labels), col_labels=tuple(cols))
+    return MacaulayMatrix(matrix=matrix)
 
 
-def dual_nullity_at_order(system: PolySystem, x_star, order: int,
-                          tol: float = DEFAULT_TOL) -> int:
+def dual_nullity_at_order(system: PolySystem, x_star, order: int) -> int:
     """Dimension of the order-d truncation of the annihilating dual space."""
     mac = macaulay_matrix(system, x_star, order)
     ncols = mac.matrix.shape[1]
     if mac.matrix.shape[0] == 0:
         return ncols
     sigma = linalg.singular_values(mac.matrix)
-    return ncols - linalg.numerical_rank(sigma, tol).rank
+    return ncols - linalg.numerical_rank(sigma, DEFAULT_TOL)
 
 
-def multiplicity(system: PolySystem, x_star, max_order: int = 12,
-                 tol: float = DEFAULT_TOL):
+def multiplicity(system: PolySystem, x_star, max_order: int = 12):
     """Multiplicity of the root ``x_star``, or None if it does not settle.
 
     Raises ValueError when ``x_star`` is not an approximate root. Increases
@@ -111,7 +107,7 @@ def multiplicity(system: PolySystem, x_star, max_order: int = 12,
     None means stabilization was not reached by ``max_order``.
     """
     residual = float(np.linalg.norm(system.value_at(x_star)))
-    if residual > ROOT_RESIDUAL_TOL:
+    if not residual <= ROOT_RESIDUAL_TOL:  # NaN included
         raise ValueError(
             f"point is not an approximate root (residual {residual:.3e})"
         )
@@ -119,9 +115,9 @@ def multiplicity(system: PolySystem, x_star, max_order: int = 12,
     recentered = PolySystem([p.shift(x_star) for p in system.equations],
                             system.var_names)
     origin = np.zeros(system.nvars, dtype=complex)
-    previous = dual_nullity_at_order(recentered, origin, 0, tol)
+    previous = dual_nullity_at_order(recentered, origin, 0)
     for order in range(1, max_order + 1):
-        current = dual_nullity_at_order(recentered, origin, order, tol)
+        current = dual_nullity_at_order(recentered, origin, order)
         if current == previous:
             return current
         previous = current

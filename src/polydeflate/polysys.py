@@ -13,11 +13,11 @@ in a reproducible sequence. Coefficients whose modulus falls below
 Polynomials are built on one of two paths. The public constructor
 ``Polynomial(nvars, terms)`` checks its input: every exponent tuple is
 converted to ints, its length and signs are validated, and coefficients are
-converted to Python ``complex``. It serves everything that comes from outside
-(``compose_linear``, callers and tests). Results of arithmetic on
-polynomials (``+``, ``-``, ``*``, ``**``, ``differentiate``, ``shift``,
-``embed``, ``PolyMatrix.right_multiply``) and parsed polynomials are built
-from terms that are valid by construction and go through
+converted to Python ``complex``. It serves everything that comes from
+outside: callers and tests. Results of arithmetic on polynomials (``+``,
+``-``, ``*``, ``**``, ``differentiate``, ``shift``, ``embed``,
+``PolyMatrix.right_multiply``) and parsed polynomials are built from terms
+that are valid by construction and go through
 ``Polynomial._trusted``, which skips those checks but still cleans the
 coefficients (``_clean``: drops tiny ones, makes zero parts positive) and
 orders the terms. Sums (a parsed polynomial, a row times a matrix column)
@@ -352,26 +352,6 @@ class Polynomial:
                 out[key] = out.get(key, 0j) + val
         return Polynomial._trusted(self.nvars, out)
 
-    def compose_linear(self, matrix) -> "Polynomial":
-        """Substitute x_j = sum_l matrix[j, l] * y_l (matrix is nvars x m)."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape[0] != self.nvars:
-            raise ValueError("substitution matrix row count must equal nvars")
-        m = matrix.shape[1]
-        forms = [
-            Polynomial(m, {tuple(int(l == k) for k in range(m)): matrix[j, l]
-                           for l in range(m) if matrix[j, l] != 0})
-            for j in range(self.nvars)
-        ]
-        total = Polynomial.zero(m)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(m, coeff)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * forms[j] ** e
-            total = total + term
-        return total
-
     def embed(self, nvars_new: int, positions: Sequence[int]) -> "Polynomial":
         """Reinterpret in a larger variable space; positions maps old->new index."""
         if len(positions) != self.nvars:
@@ -570,16 +550,6 @@ class PolySystem:
         if self._scale is None:
             self._scale = self.jacobian_matrix.coefficient_scale()
         return self._scale
-
-    def compose_linear(self, matrix, new_names=None) -> "PolySystem":
-        matrix = np.asarray(matrix, dtype=complex)
-        if new_names is None:
-            if matrix.shape[1] != self.nvars:
-                raise ValueError("square substitution required to reuse names")
-            new_names = self.var_names
-        return PolySystem(
-            [p.compose_linear(matrix) for p in self.equations], new_names
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -264,32 +264,24 @@ def test_multiplicity_rejects_non_root(tmp_path, capsys):
     assert "not an approximate root" in capsys.readouterr().err
 
 
-def test_bench_reports_ratio(tmp_path, capsys):
-    rc = cli.main(["bench", "--system", fixture("bench9.ps"),
-                   "--stages", "1", "--trials", "30"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "bench9 (9 equations, 9 variables)" in out
-    assert "19 equations, 17 variables" in out
-    assert "equivalence over 20 points" in out
-    assert "ratio:" in out
-    assert "below benchmark size" not in out
+def test_multiplicity_rejects_overflowing_point(tmp_path, capsys):
+    # x^2 at 1e200 evaluates to inf+nanj, whose residual is NaN
+    point = write_json(tmp_path / "p.json", [[1e200, 0]])
+    rc = cli.main(["multiplicity", "--system", fixture("square.ps"),
+                   "--point", point])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not an approximate root" in err
 
 
-def test_bench_flags_small_systems(tmp_path, capsys):
-    point = point_file(tmp_path, "p.json", [0.0])
-    rc = cli.main(["bench", "--system", fixture("square.ps"),
-                   "--point", point, "--stages", "1", "--trials", "10"])
-    assert rc == 0
-    assert "below benchmark size" in capsys.readouterr().out
-
-
-def test_bench_rejects_unreachable_stage_count(tmp_path, capsys):
-    point = point_file(tmp_path, "p.json", [0.0])
-    rc = cli.main(["bench", "--system", fixture("square.ps"),
-                   "--point", point, "--stages", "2", "--trials", "10"])
-    assert rc == 2
-    assert "regular after 1 stage(s)" in capsys.readouterr().err
+def test_bench_is_not_a_subcommand(capsys):
+    rc = cli.main(["bench", "--system", fixture("bench9.ps")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: polydeflate")
+    assert len(lines) == 2 and lines[1].startswith("error: ")
+    assert "bench" in lines[1]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -297,16 +289,14 @@ def test_bench_rejects_unreachable_stage_count(tmp_path, capsys):
     (["solve", "--residual-tol", "0"], "--residual-tol must lie in (0, 1), got 0.0"),
     (["solve", "--max-deflations", "-1"], "--max-deflations must be nonnegative, got -1"),
     (["deflate", "--rank-tol", "2"], "--rank-tol must lie in (0, 1), got 2.0"),
-    (["bench", "--trials", "0"], "--trials must be at least 1, got 0"),
     (["multiplicity", "--max-order", "0"], "--max-order must be at least 1, got 0"),
 ], ids=["solve-rank-tol", "solve-residual-tol", "solve-max-deflations",
-        "deflate-rank-tol", "bench-trials", "multiplicity-max-order"])
+        "deflate-rank-tol", "multiplicity-max-order"])
 def test_out_of_range_options_are_one_line_errors(tmp_path, capsys, argv, message):
     start = point_file(tmp_path, "p.json", [0.1])
     command, *options = argv
     required = {"solve": ["--point", start, "--out", str(tmp_path / "r.json")],
                 "deflate": ["--point", start, "--out", str(tmp_path / "d.ps")],
-                "bench": [],
                 "multiplicity": ["--point", start]}[command]
     rc = cli.main([command, "--system", fixture("square.ps"), *options, *required])
     assert rc == 1
