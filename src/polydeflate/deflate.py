@@ -22,9 +22,23 @@ u_i = (p_i, q_i) split into old and multiplier coordinates,
                [0,                                             a if m = 0 ]]
 
 Terms with two or more multiplier directions vanish and are never formed.
-Level 0 contracts the cached symbolic derivative tensors of the base Jacobian.
-One pass gives J_0 .. J_K, hence ``value_and_jacobian``; ``value_at`` stops
-below the top Jacobian.
+A pass evaluates every request G(k, u) the formula needs in two sweeps over
+the levels, not one call per request. The top-down sweep starts from
+G(K, []) = J_K and gives each request its children one level down: the top
+child on p, the child with B mu prepended, and the m children with slot i
+replaced by B q_i. Requests are grouped by their order m. Their directions
+are rows of a pool of vectors that takes three array operations per level
+to form. Which rows each request uses, and where its children sit, depend
+on the level count and the degree cut only, so they are planned once for
+all systems that share the two. A request of order m at or above the base
+system's total degree is dropped, since D^m J_0 = 0 there (order 0 is
+always kept). At the base, each tensor D^m J_0 is evaluated once and
+contracted with all requests of order m together; the bottom-up sweep then
+builds each level's blocks for all its requests at once, adding the mid
+terms in the formula's order (B mu first, then slot 1, 2, ...). One pass
+gives J_0 .. J_K, hence ``value_and_jacobian``; ``value_at`` stops below
+the top Jacobian. A system without stages runs no sweep and evaluates as
+its base system does.
 
 ``DeflatedSystem.expand`` produces the naive fully-expanded polynomial
 system. It exists for file export and as a cross-check in the tests; it is
@@ -33,6 +47,7 @@ deliberately not used by ``value_at``/``jacobian_at``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -88,10 +103,16 @@ class DeflationStage:
 
 
 class _BaseTensors:
-    """Symbolic derivative tensors of the base Jacobian, cached by multi-index."""
+    """Symbolic derivative tensors of the base Jacobian, cached by multi-index.
+
+    Orders from ``cut`` on are never asked for: J_0 has entries of degree
+    below the base degree, so D^m J_0 = 0 for every m >= that degree.
+    """
 
     def __init__(self, base: PolySystem):
         self.nvars = base.nvars
+        self.neqs = base.neqs
+        self.cut = max(1, max(p.degree for p in base.equations))
         self.cache = {(): base.jacobian_matrix}
         self.layouts = {}   # order -> sorted multi-indices, gather index
 
@@ -103,7 +124,7 @@ class _BaseTensors:
         return found
 
     def derivative(self, order: int, y, powers) -> np.ndarray:
-        """D^order J_0(y), shape (neqs, nvars) plus one nvars axis per order.
+        """D^order J_0(y), shape (nvars,) * order + (neqs, nvars).
 
         Each sorted multi-index is evaluated once and gathered into place.
         """
@@ -115,8 +136,15 @@ class _BaseTensors:
             self.layouts[order] = ([tuple(a) for a in alphas.tolist()],
                                    index.reshape((self.nvars,) * order))
         alphas, index = self.layouts[order]
-        stacked = np.array([self.get(alpha).evaluate(y, powers) for alpha in alphas])
-        return stacked.transpose(1, 2, 0)[..., index]
+        return np.array([self.get(alpha).evaluate(y, powers) for alpha in alphas])[index]
+
+    def contract(self, dirs, y, powers) -> np.ndarray:
+        """D^m J_0(y)[u_1, .., u_m] for each row of ``dirs`` (count, m, nvars), m > 0."""
+        count, order, n = dirs.shape
+        out = dirs[:, 0].dot(self.derivative(order, y, powers).reshape(n, -1))
+        for j in range(1, order):
+            out = dirs[:, j, np.newaxis] @ out.reshape(count, n, -1)
+        return out.reshape(count, self.neqs, n)
 
 
 class DeflatedSystem:
@@ -168,68 +196,78 @@ class DeflatedSystem:
 
     # -- structured evaluation ----------------------------------------------
 
-    def _jacobians(self, z, levels: int):
-        """Jacobians J_0 .. J_{levels-1} of the first ``levels`` systems at ``z``."""
+    def _jacobians(self, z, levels: int, mixed, powers):
+        """Jacobians J_0 .. J_{levels-1} of the first ``levels`` systems at ``z``.
+
+        ``mixed`` holds each stage's B mu at ``z``; ``powers`` caches the
+        powers of the base coordinates for this pass.
+        """
+        groups, links = _sweep_plan(levels, self._tensors.cut)
+        stages = self.stages[:levels - 1]
+        # top-down: the directions of every request at a level are rows of
+        # that level's pool
+        pool = None
+        for stage, bmu in zip(reversed(stages), reversed(mixed[:len(stages)])):
+            n0 = stage.nvars_prev
+            pool = bmu[np.newaxis] if pool is None else np.concatenate(
+                [pool[:, :n0], pool[:, n0:].dot(stage.mix.T), bmu[np.newaxis]])
+
+        # bottom-up: contract each base tensor with all requests of its
+        # order at once, then build each level's blocks for all its requests
         y = z[:self.base.nvars]
-        powers = {}
-        derivatives = {}
-        mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in self.stages]
-        jacobians = []
-
-        def grad(level, vecs):
-            """D^m J_level[vecs], an neqs x nvars matrix of that level."""
-            if level == 0:
-                out = derivatives.get(len(vecs))
-                if out is None:
-                    out = derivatives[len(vecs)] = self._tensors.derivative(
-                        len(vecs), y, powers)
-                for vec in vecs:
-                    out = out @ vec
-            else:
-                stage = self.stages[level - 1]
-                n0, neq0 = stage.nvars_prev, stage.neqs_prev
-                lower = [u[:n0] for u in vecs]
-                top = grad(level - 1, lower)
-                mid = grad(level - 1, [mixed[level - 1]] + lower)
-                for i, u in enumerate(vecs):
-                    others = lower[:i] + lower[i + 1:]
-                    mid += grad(level - 1, [stage.mix @ u[n0:]] + others)
-                out = np.zeros((stage.neqs_out, stage.nvars_out), dtype=complex)
-                out[:neq0, :n0] = top
-                out[neq0:-1, :n0] = mid
-                out[neq0:-1, n0:] = top @ stage.mix
-                if not vecs:
-                    out[-1, n0:] = stage.anchor
-            if not vecs:
-                jacobians.append(out)
-            return out
-
-        if levels:
-            grad(levels - 1, [])
-        del grad  # a recursive closure is a reference cycle: free the pass now
+        results = np.concatenate(
+            [self._tensors.derivative(0, y, powers)[np.newaxis]]
+            + [self._tensors.contract(pool[index], y, powers) for index in groups[1:]])
+        jacobians = [results[0]]
+        for stage, (tops, mus, by_slot) in zip(stages, links):
+            n0, neq0 = stage.nvars_prev, stage.neqs_prev
+            top = results[tops]
+            out = np.zeros((len(top), stage.neqs_out, stage.nvars_out), dtype=complex)
+            out[:, :neq0, :n0] = top
+            mid = out[:, neq0:-1, :n0]
+            lifted = results[mus]
+            mid[:len(lifted)] = lifted
+            for first, slot in by_slot:
+                mid[first:] += results[slot]
+            out[:, neq0:-1, n0:] = top.reshape(-1, n0).dot(stage.mix).reshape(len(top), neq0, -1)
+            out[0, -1, n0:] = stage.anchor
+            results = out
+            jacobians.append(results[0])
         return jacobians
 
-    def _value(self, z, jacobians) -> np.ndarray:
-        pieces = [self.base.value_at(z[:self.base.nvars])]
-        for stage, jac in zip(self.stages, jacobians):
-            mu = z[stage.nvars_prev:stage.nvars_out]
-            pieces.append(jac @ (stage.mix @ mu))
-            pieces.append([stage.anchor @ mu - 1.0])
-        return np.concatenate(pieces)
+    def _pass(self, z, levels: int, with_value: bool):
+        """J_0 .. J_{levels-1} at ``z``, and the value F_K(z) if asked (else None).
+
+        The value shares the pass's powers of the base coordinates and each
+        stage's B mu with the Jacobians.
+        """
+        powers = {}
+        if not self.stages:   # the base system's own evaluation, without the sweeps' fixed cost
+            value = self.base._value(z, powers) if with_value else None
+            return value, [self.base.jacobian_matrix.evaluate(z, powers)] if levels else []
+        mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in self.stages]
+        jacobians = self._jacobians(z, levels, mixed, powers)
+        if not with_value:
+            return None, jacobians
+        pieces = [self.base._value(z[:self.base.nvars], powers)]
+        for stage, jac, bmu in zip(self.stages, jacobians, mixed):
+            pieces.append(jac @ bmu)
+            pieces.append([stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0])
+        return np.concatenate(pieces), jacobians
 
     def value_at(self, z) -> np.ndarray:
         z = check_point(z, self.nvars)
-        return self._value(z, self._jacobians(z, len(self.stages)))
+        return self._pass(z, len(self.stages), True)[0]
 
     def jacobian_at(self, z) -> np.ndarray:
         z = check_point(z, self.nvars)
-        return self._jacobians(z, len(self.stages) + 1)[-1]
+        return self._pass(z, len(self.stages) + 1, False)[1][-1]
 
     def value_and_jacobian(self, z):
-        """``(value_at(z), jacobian_at(z))`` from one pass of the recursion."""
+        """``(value_at(z), jacobian_at(z))`` from one pass of the sweeps."""
         z = check_point(z, self.nvars)
-        jacobians = self._jacobians(z, len(self.stages) + 1)
-        return self._value(z, jacobians), jacobians[-1]
+        value, jacobians = self._pass(z, len(self.stages) + 1, True)
+        return value, jacobians[-1]
 
     # -- naive route (export and cross-checks only) --------------------------
 
@@ -258,6 +296,71 @@ class DeflatedSystem:
                 last[(0,) * n_prev + unit] = complex(stage.anchor[t])
             equations = lifted + mid + [Polynomial._trusted(n_out, last)]
         return PolySystem(equations, names)
+
+
+@functools.lru_cache(maxsize=32)
+def _sweep_plan(levels: int, cut: int):
+    """The derivative requests of a pass over ``levels`` systems.
+
+    Returns ``(groups, links)``. ``groups[m]`` is an integer array
+    (count, m): the directions of the base-level requests of order m, as
+    rows of the direction pool (see ``DeflatedSystem._jacobians``).
+    ``links`` holds, per stage from the bottom up, where the children of the
+    requests at the stage's output level lie one level down. The plan
+    depends on the level count and the degree cut only, not on the stage
+    sizes, so one plan serves every system with those two; its arrays are
+    read-only.
+    """
+    # Top-down. At each level the requests are ordered by their order m.
+    # One level down, order m holds the B mu children of the order m - 1
+    # requests, then the top child of each order m request, then its m
+    # children with slot i set to B q_i. If the upper level's pool has P
+    # rows, row i of the lower pool is the low part of row i, row P + i
+    # the B q of it and row 2P the stage's B mu.
+    groups = [np.empty((1, 0), dtype=np.intp)]
+    links = []
+    size = 0
+    for _ in range(levels - 1):
+        counts = [len(dirs) for dirs in groups] + [0]   # counts[-1]: none
+        below, tops, mus, slots = [], [], [], []
+        at = 0
+        for m in range(min(len(groups) + 1, cut)):
+            before, count = counts[m - 1], counts[m]
+            block = np.empty((before + (m + 1) * count, m), dtype=np.intp)
+            if before:
+                block[:before, 0] = 2 * size
+                block[:before, 1:] = groups[m - 1]
+                mus.append(at + np.arange(before))
+            if count:
+                dirs = groups[m]
+                block[before:before + count] = dirs
+                replaced = block[before + count:].reshape(count, m, m)
+                replaced[:] = dirs[:, np.newaxis]
+                replaced.reshape(count, m * m)[:, ::m + 1] = dirs + size
+                tops.append(at + before + np.arange(count))
+                # row j, column i: the child of request j with slot i set
+                slots.append(at + before + count + np.arange(count * m).reshape(count, m))
+            below.append(block)
+            at += len(block)
+        # requests with a slot i are those of order above i, a suffix
+        by_slot = [(sum(counts[:i + 1]), _index([part[:, i] for part in slots[i + 1:]]))
+                   for i in range(len(groups) - 1)]
+        links.append((_index(tops), _index(mus), by_slot))
+        groups = below
+        size = 2 * size + 1
+    for dirs in groups:
+        dirs.flags.writeable = False
+    return tuple(groups), tuple(reversed(links))
+
+
+def _index(parts):
+    """The concatenated index arrays ``parts``: a slice when contiguous, else
+    a read-only array."""
+    index = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
+        return slice(int(index[0]), int(index[0]) + len(index))
+    index.flags.writeable = False
+    return index
 
 
 def _as_deflated(system) -> DeflatedSystem:
@@ -424,7 +527,7 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     inverse_condition_original = math.nan  # no rank to judge after divergence
     if np.isfinite(original_jac).all():
         inverse_condition_original = linalg.scaled_inverse_condition(
-            linalg.svd(original_jac).sigma, scale)
+            linalg.singular_values(original_jac), scale)
     digits_final = None
     if reference is not None:
         digits_final = newton.correct_digits(prefix, reference)

@@ -8,7 +8,13 @@
 * ``symbolic_deflation``: the kernel-direction deflation, which appends
   directional derivatives and adds no multiplier variables. It is a
   second route to a lower multiplicity, next to the randomized stages.
+* ``recursive_jacobians`` and ``recursive_value``: the per-call recursion
+  over the block formula of ``polydeflate.deflate``, one call per
+  derivative request and no degree cut, against which the batched sweeps
+  of ``DeflatedSystem`` are checked.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -79,3 +85,88 @@ def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySy
                 acc = acc + poly.differentiate(j) * complex(direction[j])
         appended.append(acc)
     return PolySystem(list(system.equations) + appended, system.var_names)
+
+
+def _derivative_matrix(base, alpha, matrices):
+    """The base Jacobian differentiated by the sorted multi-index ``alpha``."""
+    if not alpha:
+        return base.jacobian_matrix
+    if alpha not in matrices:
+        matrices[alpha] = _derivative_matrix(base, alpha[:-1], matrices).differentiate(alpha[-1])
+    return matrices[alpha]
+
+
+def _derivative(base, order, y, powers, matrices):
+    """D^order J_0(y), shape (neqs, nvars) plus one nvars axis per order.
+
+    ``matrices`` caches the symbolic derivative of the base Jacobian by
+    sorted multi-index; each is evaluated and gathered into every ordering.
+    """
+    out = np.empty((base.neqs, base.nvars) + (base.nvars,) * order, dtype=complex)
+    values = {}
+    for tup in product(range(base.nvars), repeat=order):
+        alpha = tuple(sorted(tup))
+        if alpha not in values:
+            values[alpha] = _derivative_matrix(base, alpha, matrices).evaluate(y, powers)
+        out[(slice(None), slice(None)) + tup] = values[alpha]
+    return out
+
+
+def recursive_jacobians(system, z, levels: int, matrices=None):
+    """J_0 .. J_{levels-1} of a ``DeflatedSystem`` at ``z``, one call per request.
+
+    G(k, [u_1..u_m]) = D^m J_k[u_1, .., u_m] is built from level k - 1 as
+    [[G(p), 0], [G([B mu]+p) + sum_i G([B q_i]+p_-i), G(p) B], [0, a if m = 0]]
+    with u_i = (p_i, q_i); level 0 contracts the base derivative tensors.
+    ``matrices`` may carry the symbolic derivative matrices from call to call.
+    """
+    y = z[:system.base.nvars]
+    powers = {}
+    derivatives = {}
+    matrices = {} if matrices is None else matrices
+    mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in system.stages]
+    jacobians = []
+
+    def grad(level, vecs):
+        if level == 0:
+            out = derivatives.get(len(vecs))
+            if out is None:
+                out = derivatives[len(vecs)] = _derivative(system.base, len(vecs), y,
+                                                           powers, matrices)
+            for vec in vecs:
+                out = out @ vec
+        else:
+            stage = system.stages[level - 1]
+            n0, neq0 = stage.nvars_prev, stage.neqs_prev
+            lower = [u[:n0] for u in vecs]
+            top = grad(level - 1, lower)
+            mid = grad(level - 1, [mixed[level - 1]] + lower)
+            for i, u in enumerate(vecs):
+                others = lower[:i] + lower[i + 1:]
+                mid += grad(level - 1, [stage.mix @ u[n0:]] + others)
+            out = np.zeros((stage.neqs_out, stage.nvars_out), dtype=complex)
+            out[:neq0, :n0] = top
+            out[neq0:-1, :n0] = mid
+            out[neq0:-1, n0:] = top @ stage.mix
+            if not vecs:
+                out[-1, n0:] = stage.anchor
+        if not vecs:
+            jacobians.append(out)
+        return out
+
+    if levels:
+        grad(levels - 1, [])
+    return jacobians
+
+
+def recursive_value(system, z, matrices=None):
+    """``value_at`` of a ``DeflatedSystem``: [F_(k-1); J_(k-1) B mu; a . mu - 1]
+    stage by stage, with the Jacobians from ``recursive_jacobians``."""
+    z = np.asarray(z, dtype=complex)
+    jacobians = recursive_jacobians(system, z, len(system.stages), matrices)
+    pieces = [system.base.value_at(z[:system.base.nvars])]
+    for stage, jac in zip(system.stages, jacobians):
+        mu = z[stage.nvars_prev:stage.nvars_out]
+        pieces.append(jac @ (stage.mix @ mu))
+        pieces.append([stage.anchor @ mu - 1.0])
+    return np.concatenate(pieces)

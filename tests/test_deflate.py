@@ -16,7 +16,7 @@ from polydeflate.deflate import DeflatedSystem, DeflationStage, RegularPointErro
 from polydeflate.polysys import format_system, parse_system
 
 from conftest import load_fixture
-from reference import symbolic_deflation
+from reference import recursive_jacobians, recursive_value, symbolic_deflation
 
 FIXTURE_ROOTS = [
     ("square.ps", 1, 2),
@@ -353,6 +353,129 @@ def test_stageless_system_is_bitwise_its_base(name):
     for ours, theirs in pairs:
         assert ours.shape == theirs.shape
         assert ours.tobytes() == theirs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the batched sweeps against the per-call recursion
+# ---------------------------------------------------------------------------
+
+FIXTURES = ["square.ps", "axis_quartic.ps", "cubic_trio.ps", "cross_cubes.ps", "bench9.ps"]
+
+
+# The stage ranks that deflate_once reaches on the chains these tests stand
+# for: at the exact origin with rank tolerance 1e-8, and from a start 1e-3
+# from the origin with rank tolerance 1e-2 or 0.5. The stages are drawn with
+# these ranks directly, so a wrong evaluator cannot lengthen or widen a chain
+# and the tests fail at once instead of running on ever larger systems.
+LADDER_RANKS = {d: [2 ** k - 1 for k in range(1, d)] for d in range(3, 8)}
+ORIGIN_RANKS = {
+    "square.ps": [0],
+    "axis_quartic.ps": [1, 3, 7],
+    "cubic_trio.ps": [0, 1],
+    "cross_cubes.ps": [0],
+    "bench9.ps": [7],
+}
+NEAR_ORIGIN_RANKS = {
+    ("square.ps", 1e-2): [0],
+    ("square.ps", 0.5): [0, 1, 2, 3],
+    ("axis_quartic.ps", 1e-2): [1, 3, 7, 14],
+    ("axis_quartic.ps", 0.5): [0, 0, 1, 3],
+    ("cubic_trio.ps", 1e-2): [0, 1],
+    ("cubic_trio.ps", 0.5): [0, 0, 2, 1],
+    ("cross_cubes.ps", 1e-2): [0],
+    ("cross_cubes.ps", 0.5): [0, 1, 1, 2],
+    ("bench9.ps", 1e-2): [7, 14, 23, 30],
+    ("bench9.ps", 0.5): [2, 3, 4, 2],
+}
+
+
+def random_stages(system, ranks, seed=23):
+    """Stages with the given ranks and random draws, whatever the Jacobian."""
+    current = DeflatedSystem(system)
+    rng = rng_for(seed)
+    for rank in ranks:
+        current = current.with_stage(DeflationStage(
+            rank=rank, mix=deflate.unit_circle_matrix(rng, current.nvars, rank + 1),
+            anchor=deflate.unit_circle_matrix(rng, 1, rank + 1)[0],
+            nvars_prev=current.nvars, neqs_prev=current.neqs))
+    return current
+
+
+def assert_matches_recursion(system, seed=61):
+    """Every level J_0 .. J_K and the value agree with the recursion to 1e-12."""
+    rng = rng_for(seed)
+    levels = len(system.stages) + 1
+    matrices = {}
+    for _ in range(3):
+        point = random_point(rng, system.nvars)
+        value, jac = system.value_and_jacobian(point)
+        swept = system._pass(point, levels, False)[1]
+        assert np.array_equal(swept[-1], jac)
+        recursed = recursive_jacobians(system, point, levels, matrices)
+        assert len(swept) == len(recursed) == levels
+        for ours, theirs in zip(swept, recursed):
+            assert ours.shape == theirs.shape
+            assert np.linalg.norm(ours - theirs) <= 1e-12 * np.linalg.norm(theirs)
+        reference = recursive_value(system, point, matrices)
+        for ours in (value, system.value_at(point)):
+            assert np.linalg.norm(ours - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def assert_no_vanishing_tensors(system):
+    """The base tensors hold no derivative of order >= the base degree."""
+    cut = max(1, max(p.degree for p in system.base.equations))
+    tensors = system._tensors
+    assert max(len(alpha) for alpha in tensors.cache) < cut
+    assert all(order < cut for order in tensors.layouts)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_sweeps_match_recursion_on_ladders(d):
+    current = random_stages(ladder(d), LADDER_RANKS[d])
+    assert len(current.stages) == d - 1
+    assert_matches_recursion(current)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sweeps_match_recursion_at_the_origin(name):
+    assert_matches_recursion(random_stages(load_fixture(name), ORIGIN_RANKS[name]))
+
+
+@pytest.mark.parametrize("rank_tol", [1e-2, 0.5])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sweeps_match_recursion_near_the_origin(name, rank_tol):
+    ranks = NEAR_ORIGIN_RANKS[name, rank_tol]
+    assert_matches_recursion(random_stages(load_fixture(name), ranks))
+
+
+def test_request_count_is_the_recursions_call_count():
+    """{x, y^7} at six stages: Bell(7) = 877 base requests, none cut."""
+    current = random_stages(ladder(7), LADDER_RANKS[7])
+    groups, links = deflate._sweep_plan(len(current.stages) + 1, current._tensors.cut)
+    assert [len(dirs) for dirs in groups] == [1, 63, 301, 350, 140, 21, 1]
+    assert len(links) == 6
+
+
+@pytest.mark.parametrize("text,ranks", [
+    ("2\nx y\nx + 2*y;\n3*x - y + 1;\n", [1, 2]),            # degree 1
+    ("1\nx\n0;\n", [0, 0, 0]),                               # degree -1
+    ("2\nx y\n1;\n2 - 3i;\n", [0, 1, 1]),                    # degree 0
+    ("2\nx y\nx^2 - y;\n0;\n", [1, 1, 2]),                   # a zero equation
+])
+def test_degree_cut_keeps_the_order_zero_jacobian(text, ranks):
+    current = random_stages(parse_system(text), ranks)
+    assert_matches_recursion(current)
+    assert_no_vanishing_tensors(current)
+
+
+def test_degree_cut_on_bench9_at_four_stages():
+    current = random_stages(load_fixture("bench9.ps"), NEAR_ORIGIN_RANKS["bench9.ps", 1e-2])
+    current.value_and_jacobian(random_point(rng_for(67), current.nvars))
+    assert_no_vanishing_tensors(current)
+    # bench9 is quadratic: only orders 0 and 1 reach the base
+    groups, _ = deflate._sweep_plan(5, current._tensors.cut)
+    assert len(groups) == 2
+    assert_matches_recursion(current)
 
 
 def test_wrong_length_point_messages(square):
