@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable
 files, parse errors), 2 when the computation did not reach its goal
-(no convergence, divergence, deflation requested at a regular point),
+(no convergence, divergence, deflation requested at a regular point
+or at one where the Jacobian overflows),
 3 when the multiplicity search did not stabilize.
 
 Reports are written with a fixed key order and 17 significant digits,
@@ -247,7 +248,7 @@ def cmd_deflate(args) -> int:
     point = _load_point(args.point, system.nvars)
     try:
         extended, _ = deflate.deflate_once(system, point, args.rank_tol, args.seed)
-    except deflate.RegularPointError as err:
+    except (deflate.RegularPointError, deflate.NonFiniteJacobianError) as err:
         raise CliError(2, str(err))
     _write_text(args.out, deflate.format_deflated(extended))
     print(f"wrote {args.out}: {extended.neqs} equations, "

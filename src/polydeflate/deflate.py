@@ -68,6 +68,10 @@ class RegularPointError(ValueError):
     """Deflation was requested at a point with full-column-rank Jacobian."""
 
 
+class NonFiniteJacobianError(ValueError):
+    """Deflation was requested at a point where the Jacobian is not finite."""
+
+
 @dataclass(frozen=True)
 class DeflationStage:
     """Random data and sizes of one deflation step."""
@@ -395,8 +399,10 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
     which pins them near the kernel direction with anchor . lam = 1.
     ``rng_seed`` may be an integer seed or an existing numpy Generator (the
     deflation loop threads one generator through all its stages).
-    ``factored`` is (Jacobian at ``x0``, its ``linalg.svd``) when the caller
-    has them, as the loop does from the last Newton iterate.
+    ``factored`` is (Jacobian at ``x0``, its singular values) when the
+    caller has them, as the loop does from the last Newton iterate; without
+    it the Jacobian is evaluated here, and one that is not finite (an
+    overflowing point) raises ``NonFiniteJacobianError``.
     """
     if not 0 < rank_tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
@@ -404,10 +410,12 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
     x0 = check_point(x0, current.nvars)
     if factored is None:
         jac = current.jacobian_at(x0)
-        factored = jac, linalg.svd(jac)
-    jac, decomp = factored
+        if not np.isfinite(jac).all():
+            raise NonFiniteJacobianError("Jacobian is not finite at the given point")
+        factored = jac, linalg.singular_values(jac)
+    jac, sigma = factored
     scale = max(1.0, current.coefficient_scale)
-    rank = linalg.scaled_rank(decomp.sigma, rank_tol, scale)
+    rank = linalg.scaled_rank(sigma, rank_tol, scale)
     if rank >= current.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
     rng = _make_rng(rng_seed)

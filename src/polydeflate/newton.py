@@ -1,4 +1,4 @@
-"""Gauss-Newton iteration with an SVD pseudoinverse and rank monitoring.
+"""Gauss-Newton iteration with truncated least-squares steps and rank monitoring.
 
 ``refine`` drives the iteration on any system object exposing ``nvars``,
 ``value_and_jacobian`` and ``coefficient_scale`` (both ``PolySystem`` and
@@ -66,8 +66,9 @@ class NewtonOptions:
 class NewtonTrace:
     """Per-iterate log: points, residual and step norms, rank diagnostics.
 
-    ``factored`` is the (Jacobian, SVD) pair of the last iterate, which is
-    the point ``refine`` returns; None when the iteration diverged.
+    ``factored`` is the Jacobian of the last iterate, which is the point
+    ``refine`` returns, and its singular values: (jacobian, sigma). It is
+    None when the iteration diverged.
     """
 
     points: list = field(default_factory=list)
@@ -136,12 +137,12 @@ def refine(system, x0, opts: NewtonOptions | None = None):
                                                or np.isfinite(fx).all()):
             trace.record(x, residual, 0, math.nan)
             return x, DIVERGED, trace
-        decomp = linalg.svd(jac)
-        limit_rank = linalg.scaled_rank(decomp.sigma, opts.rank_tol, scale)
+        sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
+        limit_rank = linalg.scaled_rank(sigma, opts.rank_tol, scale)
         corank = ncols - limit_rank
         coranks.append(corank)
         trace.record(x, residual, limit_rank,
-                     linalg.scaled_inverse_condition(decomp.sigma, scale))
+                     linalg.scaled_inverse_condition(sigma, scale))
 
         stall = _stall_pattern(trace.steps)
         corank_stable = (
@@ -164,13 +165,11 @@ def refine(system, x0, opts: NewtonOptions | None = None):
                 status = MAX_ITER
             break
 
-        rank = linalg.numerical_rank(decomp.sigma, opts.rank_tol)
-        dx = linalg.pseudo_solve(decomp, fx, rank)
         step = float(np.linalg.norm(dx))
         x = x - dx
         trace.steps.append(step)
         if step <= _STEP_TOL:
             exhausted = True
 
-    trace.factored = (jac, decomp)
+    trace.factored = (jac, sigma)
     return x, status, trace

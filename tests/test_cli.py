@@ -231,6 +231,19 @@ def test_deflate_regular_point_exits_two(tmp_path, capsys):
     assert "full column rank" in capsys.readouterr().err
 
 
+def test_deflate_overflowing_point_exits_two(tmp_path, capsys):
+    # x2^4 at 1e200 overflows, so the Jacobian there is not finite
+    point = write_json(tmp_path / "p.json", [[1e200, 0], [1e200, 0]])
+    out = tmp_path / "g.ps"
+    rc = cli.main(["deflate", "--system", fixture("axis_quartic.ps"),
+                   "--point", point, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not out.exists()
+
+
 def test_multiplicity_double_root(tmp_path, capsys):
     point = point_file(tmp_path, "p.json", [0.0])
     rc = cli.main(["multiplicity", "--system", fixture("square.ps"),

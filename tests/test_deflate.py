@@ -640,6 +640,52 @@ def test_loop_respects_stage_cap(axis_quartic):
     assert report.stages[0].corank_after == 1
 
 
+# Two starts 1e-3 from the origin per degree, with their solver seeds and the
+# outcome each had when pinned. The second d = 7 start ends at the stage cap
+# (d - 1 stages, as in a solve that knows the multiplicity) with the
+# Jacobian still singular; it is pinned as it is.
+LADDER_SOLVES = [
+    (3, [0.0006100061839757499+0.0001249647177800732j,
+         -0.000763857546796929-0.00016969950802187995j], 84608903,
+     "converged_regular", [1, 1, 0]),
+    (4, [8.613459752748801e-06-0.0009074587638791897j,
+         -0.00025027608992131206+0.00033735186227978707j], 1814323242,
+     "converged_regular", [1, 1, 1, 0]),
+    (5, [0.00011291106037914293-0.0005186419014041317j,
+         -0.0008474670779250302-7.824473475928295e-06j], 1410761597,
+     "converged_regular", [1, 1, 1, 1, 0]),
+    (6, [-0.0006708427470829134-0.00035543137518397234j,
+         0.00020792912120343646-0.0006167690222252145j], 1159198267,
+     "converged_regular", [1, 1, 1, 1, 1, 0]),
+    (7, [-0.00011570134940840374+0.0008646081479925146j,
+         0.0004671649475615086-0.00014430128183727712j], 667965978,
+     "converged_regular", [1, 1, 1, 1, 1, 1, 0]),
+    (3, [2.5824927721610764e-05+3.8743199060088086e-05j,
+         -0.00042057120353826-0.000906063960429474j], 780912693,
+     "converged_regular", [1, 1, 0]),
+    (4, [-0.0002999569204698947-0.0009195507435000761j,
+         0.00023942712870675986-8.442112312633253e-05j], 2053765852,
+     "converged_regular", [1, 1, 1, 0]),
+    (5, [-0.0006425172318764094+0.0005366762552012623j,
+         -2.8994057653885098e-05-0.0005461772134259991j], 1094054055,
+     "converged_regular", [1, 1, 1, 1, 0]),
+    (6, [-0.0007654681703880155-7.510884030006564e-05j,
+         0.00037882397750174304-0.0005146936334377588j], 346957906,
+     "converged_regular", [1, 1, 1, 1, 1, 0]),
+    (7, [-0.0006645967323146686-3.0991435222868556e-05j,
+         -0.0006469878673889941-0.00037250156213220506j], 434039328,
+     "stalled_singular", [1, 1, 1, 1, 1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("d,start,seed,status,coranks", LADDER_SOLVES)
+def test_ladder_solve_outcomes_are_pinned(d, start, seed, status, coranks):
+    report = deflate.deflate_loop(ladder(d), start, seed=seed, max_stages=d - 1)
+    assert report.status == status
+    assert report.deflations == d - 1
+    assert report.corank_sequence == coranks
+
+
 def test_loop_rejects_wrong_point_length(square):
     with pytest.raises(ValueError):
         deflate.deflate_loop(square, [0.1, 0.2])

@@ -170,6 +170,59 @@ def test_least_squares_residual_orthogonality():
         assert np.linalg.norm(a.conj().T @ (a @ x - b)) <= bound
 
 
+# Shapes on both sides of linalg.QR_MIN_COLS (12): small, wide and square
+# ones take the full SVD, tall ones with 12 or more columns the QR path.
+AGREEMENT_SHAPES = [(5, 4), (11, 8), (15, 11), (8, 20), (16, 16),
+                    (23, 12), (31, 16), (47, 32), (95, 64), (191, 128)]
+SPECTRA = ["random", "rank_minus_3", "ratio_1e-7", "ratio_1e-9"]
+
+
+def planted(rng, rows, cols, sigma):
+    """rows x cols matrix U diag(sigma) V^H with random orthonormal U and V."""
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, k)) + 1j * rng.normal(size=(cols, k)))
+    return (u * sigma) @ v.conj().T
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA)
+@pytest.mark.parametrize("rows,cols", AGREEMENT_SHAPES)
+def test_truncated_least_squares_matches_full_svd(rows, cols, spectrum):
+    rng = np.random.default_rng([rows, cols, SPECTRA.index(spectrum)])
+    k = min(rows, cols)
+    if spectrum == "random":
+        a = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    else:
+        # the kept singular values span [1e-2, 1]; the last ones are planted
+        # zeros, or one value at 1e-7 (kept at tol 1e-8) or 1e-9 (dropped)
+        sigma = np.geomspace(1.0, 1e-2, k)
+        if spectrum == "rank_minus_3":
+            sigma[-3:] = 0.0
+        else:
+            sigma[-1] = float(spectrum.split("_")[1])
+        a = planted(rng, rows, cols, sigma)
+    b = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+
+    sigma, x = linalg.truncated_least_squares(a, b, 1e-8)
+    reference = linalg.svd(a)
+    rank = linalg.numerical_rank(reference.sigma, 1e-8)
+    x_ref = linalg.pseudo_solve(reference, b, rank)
+
+    assert sigma.shape == reference.sigma.shape
+    assert np.all(np.abs(sigma - reference.sigma) <= 1e-13 * reference.sigma[0])
+    assert linalg.numerical_rank(sigma, 1e-8) == rank
+    assert rank == {"rank_minus_3": k - 3, "ratio_1e-9": k - 1}.get(spectrum, k)
+    # Each method is backward stable, so each solution is within about
+    # eps * kappa * |x| of the exact truncated one, kappa = sigma_1 / sigma_rank
+    # (b is not in the range of A, but x is dominated by the sigma_rank
+    # component, which turns the kappa^2 residual term into kappa as well).
+    # The tolerance allows a growth factor of 10 * cols on top of that bound.
+    kappa = reference.sigma[0] / reference.sigma[rank - 1]
+    eps = np.finfo(float).eps
+    tol = 10 * cols * eps * kappa * np.linalg.norm(x_ref)
+    assert np.linalg.norm(x - x_ref) <= tol
+
+
 def test_kernel_vector_zero_matrix():
     decomp = linalg.svd(np.zeros((2, 2)))
     v = kernel_vector(decomp, 0)

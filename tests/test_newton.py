@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polydeflate import newton
+from polydeflate import linalg, newton
 from polydeflate.polysys import parse_system
 
 
@@ -44,6 +44,23 @@ def test_newton_step_shape_mismatch(square):
 
     with pytest.raises(ValueError):
         newton.refine(WrongJacobian(), [0.1])
+
+
+def test_newton_step_shape_mismatch_on_a_tall_jacobian():
+    # a Jacobian wide enough for the QR path, and one value too few
+    rng = np.random.default_rng(3)
+    jac = rng.normal(size=(40, 20)) + 1j * rng.normal(size=(40, 20))
+    assert jac.shape[1] >= linalg.QR_MIN_COLS
+
+    class WrongValue:
+        nvars = 20
+        coefficient_scale = 1.0
+
+        def value_and_jacobian(self, x):
+            return np.ones(39, dtype=complex), jac
+
+    with pytest.raises(ValueError, match=r"right-hand side has shape \(39,\)"):
+        newton.refine(WrongValue(), np.zeros(20))
 
 
 def test_refine_regular_root(unit_quadratic):
