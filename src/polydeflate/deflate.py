@@ -399,10 +399,12 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
     which pins them near the kernel direction with anchor . lam = 1.
     ``rng_seed`` may be an integer seed or an existing numpy Generator (the
     deflation loop threads one generator through all its stages).
-    ``factored`` is (Jacobian at ``x0``, its singular values) when the
-    caller has them, as the loop does from the last Newton iterate; without
-    it the Jacobian is evaluated here, and one that is not finite (an
-    overflowing point) raises ``NonFiniteJacobianError``.
+    ``factored`` is (Jacobian at ``x0``, its rank) when the caller has
+    them, as the loop does with the rank ``newton.refine`` read at its last
+    iterate, where the singular-value trend may have raised the corank above
+    the scaled cut. Without it the Jacobian is evaluated here and its rank is
+    the scaled cut ``linalg.scaled_rank`` at ``rank_tol``; a Jacobian that is
+    not finite (an overflowing point) raises ``NonFiniteJacobianError``.
     """
     if not 0 < rank_tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
@@ -412,10 +414,9 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
         jac = current.jacobian_at(x0)
         if not np.isfinite(jac).all():
             raise NonFiniteJacobianError("Jacobian is not finite at the given point")
-        factored = jac, linalg.singular_values(jac)
-    jac, sigma = factored
-    scale = max(1.0, current.coefficient_scale)
-    rank = linalg.scaled_rank(sigma, rank_tol, scale)
+        scale = max(1.0, current.coefficient_scale)
+        factored = jac, linalg.scaled_rank(linalg.singular_values(jac), rank_tol, scale)
+    jac, rank = factored
     if rank >= current.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
     rng = _make_rng(rng_seed)

@@ -5,13 +5,12 @@
 the deflated systems do). Its exit statuses:
 
 ``converged_regular``
-    residual at or below ``residual_tol`` with a Jacobian of full column
-    rank, and the recent step history does not look like the geometric decay
-    of a singular root.
+    residual at or below ``residual_tol`` at corank 0, and the recent step
+    history does not look like the geometric decay of a singular root.
 ``stalled_singular``
-    the scale-anchored rank test reports a stable corank deficit while the
-    step lengths refuse to contract by the factor a healthy Newton tail
-    shows. This is the signal that deflation is needed.
+    the same corank above 0 on the last three iterates while the step
+    lengths refuse to contract by the factor a healthy Newton tail shows.
+    This is the signal that deflation is needed.
 ``max_iter``
     the iteration budget ran out without either verdict.
 ``diverged``
@@ -25,6 +24,23 @@ double root), so the stall pattern is defined as: the last three step ratios
 all above 0.25. Convergence additionally requires that pattern to be absent,
 which keeps a shrinking-but-singular iteration from being misread as a
 regular solution just because the residual crossed the tolerance.
+
+Each iterate reads its corank once; the stall rule, the convergence test,
+``NewtonTrace.ranks`` and the rank handed on to deflation all use that one
+reading. It is the larger of two counts:
+
+* the scale-anchored cut, the singular values at or below
+  ``rank_tol * max(sigma_1, scale)`` (``linalg.scaled_rank``);
+* the trend, the trailing singular values that fell by ``_TREND_FALL`` on
+  each of the last two iterates and lie below ``_TREND_CEILING * scale``.
+
+Toward a singular root the kernel's singular values shrink with the
+distance, and where J vanishes at the root (x^2 at 0) sigma_1 shrinks too,
+so the trend reads the corank within a few iterates, long before the cut
+does. A regular root's singular values level off instead. The ceiling keeps
+the far field of a regular root, where x^2 - 1 from x = 10 shrinks as x^2
+does, from reading as a kernel. The step itself is truncated by the
+relative rule of ``linalg.numerical_rank`` alone.
 """
 
 from __future__ import annotations
@@ -45,6 +61,13 @@ DIVERGED = "diverged"
 _STALL_RATIO = 0.25
 _STALL_WINDOW = 3
 _STEP_TOL = 1e-14
+# a singular value belongs to the kernel once it fell by this factor on each
+# of the last two iterates (a double root halves its kernel value per step)
+_TREND_FALL = 0.8
+# ... and lies below this fraction of the coefficient scale: seen from far
+# away a regular root shrinks the singular values as a multiple root does,
+# until they level off near it, typically at the order of the scale
+_TREND_CEILING = 0.02
 
 
 @dataclass(frozen=True)
@@ -66,9 +89,12 @@ class NewtonOptions:
 class NewtonTrace:
     """Per-iterate log: points, residual and step norms, rank diagnostics.
 
-    ``factored`` is the Jacobian of the last iterate, which is the point
-    ``refine`` returns, and its singular values: (jacobian, sigma). It is
-    None when the iteration diverged.
+    ``ranks`` holds the rank each iterate read, the smaller of the scaled
+    cut and the trend (module docstring); its corank is what the stall rule
+    and the convergence test saw. ``factored`` is the Jacobian of the last
+    iterate, which is the point ``refine`` returns, and that iterate's rank:
+    (jacobian, rank), which ``deflate_loop`` hands to ``deflate_once``. It
+    is None when the iteration diverged.
     """
 
     points: list = field(default_factory=list)
@@ -116,6 +142,22 @@ def _stall_pattern(steps) -> bool:
     )
 
 
+def _trend_corank(history, scale: float) -> int:
+    """How many of the smallest singular values are falling toward zero.
+
+    ``history`` holds the singular values of the iterates so far. A value
+    counts when it fell by ``_TREND_FALL`` on each of the last two iterates
+    and lies below ``_TREND_CEILING * scale``; the count runs up from the
+    smallest and stops at the first value that does not.
+    """
+    if len(history) < 3:
+        return 0
+    older, old, new = history[-3:]
+    falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older)
+               & (new <= _TREND_CEILING * scale))
+    return int(np.cumprod(falling[::-1]).sum())
+
+
 def refine(system, x0, opts: NewtonOptions | None = None):
     """Iterate Gauss-Newton from ``x0``; returns (x_final, status, trace)."""
     if opts is None:
@@ -124,7 +166,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     scale = max(1.0, float(system.coefficient_scale))
     ncols = system.nvars
     trace = NewtonTrace()
-    coranks = []
+    history = []
     exhausted = False
     status = MAX_ITER
 
@@ -138,17 +180,17 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             trace.record(x, residual, 0, math.nan)
             return x, DIVERGED, trace
         sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
-        limit_rank = linalg.scaled_rank(sigma, opts.rank_tol, scale)
-        corank = ncols - limit_rank
-        coranks.append(corank)
-        trace.record(x, residual, limit_rank,
+        history.append(sigma)
+        rank = min(linalg.scaled_rank(sigma, opts.rank_tol, scale),
+                   sigma.size - _trend_corank(history, scale))
+        corank = ncols - rank
+        trace.record(x, residual, rank,
                      linalg.scaled_inverse_condition(sigma, scale))
 
         stall = _stall_pattern(trace.steps)
         corank_stable = (
             corank > 0
-            and len(coranks) >= _STALL_WINDOW
-            and coranks[-_STALL_WINDOW:] == [corank] * _STALL_WINDOW
+            and trace.ranks[-_STALL_WINDOW:] == [rank] * _STALL_WINDOW
         )
         if residual <= opts.residual_tol and corank == 0 and (not stall or exhausted):
             status = CONVERGED_REGULAR
@@ -171,5 +213,5 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         if step <= _STEP_TOL:
             exhausted = True
 
-    trace.factored = (jac, sigma)
+    trace.factored = (jac, rank)
     return x, status, trace

@@ -13,10 +13,11 @@ import pytest
 
 from polydeflate import deflate, linalg, newton, oracle
 from polydeflate.deflate import DeflatedSystem, DeflationStage, RegularPointError
-from polydeflate.polysys import format_system, parse_system
+from polydeflate.polysys import PolySystem, format_system, parse_system
 
 from conftest import load_fixture
-from reference import recursive_jacobians, recursive_value, symbolic_deflation
+from reference import (compose_system_linear, recursive_jacobians, recursive_value,
+                       symbolic_deflation)
 
 FIXTURE_ROOTS = [
     ("square.ps", 1, 2),
@@ -684,6 +685,64 @@ def test_ladder_solve_outcomes_are_pinned(d, start, seed, status, coranks):
     assert report.status == status
     assert report.deflations == d - 1
     assert report.corank_sequence == coranks
+
+
+# Two entries of the near-root benchmark pool (NearRoot.inputs(i) in
+# perfbench/workloads.py) with their solver seeds and the pool's stage cap
+# of 4. With the corank read from the scaled cut alone, entry 175 reached
+# the cap with coranks 1, 2, 2, 2, 3 and entry 169 ended converged_regular
+# after one stage, 4.8e-5 from the root.
+NEAR_ROOT_SOLVES = [
+    (175, "cross_cubes.ps",
+     [-0.00017279465628032009-0.0021964359634046153j,
+      0.0031610526628039256-0.0037768779855153305j,
+      -6.428841555462561e-05+0.0006378392494270356j], 1467131140, [3, 0]),
+    (169, "axis_quartic.ps",
+     [-0.0005771133538367507+0.00019272788115957894j,
+      2.097265113149417e-05-0.00016153372873173782j], 1833890789, [1, 1, 1, 0]),
+]
+
+
+@pytest.mark.parametrize("entry,name,start,seed,coranks", NEAR_ROOT_SOLVES)
+def test_near_root_pool_entries_converge(entry, name, start, seed, coranks):
+    report = deflate.deflate_loop(load_fixture(name), start, seed=seed, max_stages=4)
+    assert report.status == newton.CONVERGED_REGULAR
+    assert report.corank_sequence == coranks
+    assert np.linalg.norm(report.solution[:len(start)]) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name,multiplicity", [
+    ("square.ps", 2), ("axis_quartic.ps", 4), ("cubic_trio.ps", 7),
+    ("cross_cubes.ps", 11), ("bench9.ps", 4)])
+def test_planted_root_under_a_unitary_change_and_a_shift(name, multiplicity, seed):
+    # the fixture's root moved from the origin to c by y = U^H x + c, U unitary
+    base = load_fixture(name)
+    n = base.nvars
+    rng = rng_for(seed)
+    u, _ = np.linalg.qr(random_point(rng, (n, n)))
+    rotated = compose_system_linear(base, u)
+    c = random_point(rng, n)
+    planted = PolySystem([p.shift(-c) for p in rotated.equations], base.var_names)
+    direction = random_point(rng, n)
+    start = c + 1e-3 * direction / np.linalg.norm(direction)
+    # the shift rounds every coefficient, and the oracle's row scaling would
+    # read that noise as full rank, so it counts at the unshifted root
+    assert oracle.multiplicity(rotated, np.zeros(n)) == multiplicity
+    report = deflate.deflate_loop(planted, start, seed=seed, max_stages=4)
+    assert report.status == newton.CONVERGED_REGULAR
+    assert report.deflations < multiplicity
+    assert np.linalg.norm(report.solution[:n] - c) <= 1e-8
+
+
+def test_close_pair_of_regular_roots_is_not_deflated():
+    # roots at x = +-0.01: the trend reads a kernel on the iterates where the
+    # Jacobian falls below its ceiling, but not on three in a row
+    system = parse_system("2\nx y\nx^2 - 1e-4;\ny - 1;")
+    report = deflate.deflate_loop(system, [1.0, 1.0])
+    assert report.status == newton.CONVERGED_REGULAR
+    assert report.deflations == 0
+    assert np.linalg.norm(report.solution - [0.01, 1.0]) <= 1e-10
 
 
 def test_loop_rejects_wrong_point_length(square):

@@ -88,6 +88,44 @@ def test_refine_stalls_on_double_root(square):
     assert square.nvars - trace.ranks[-1] == 1
 
 
+@pytest.mark.parametrize("text, start", [
+    ("1\nx\nx^2;", [0.1]),                  # the square fixture
+    ("2\nx y\nx;\ny^3;", [1e-3, 2e-3]),
+])
+def test_refine_reads_the_corank_from_the_trend(text, start):
+    # with the scaled cut alone these stall only after 27 and 11 iterates
+    system = parse_system(text)
+    _, status, trace = newton.refine(system, start)
+    assert status == newton.STALLED_SINGULAR
+    assert len(trace.points) <= 6
+    assert system.nvars - trace.ranks[-1] == 1
+
+
+def test_trend_reads_no_kernel_at_a_regular_root(unit_quadratic):
+    _, status, trace = newton.refine(unit_quadratic, [1.1])
+    assert status == newton.CONVERGED_REGULAR
+    assert trace.ranks == [unit_quadratic.nvars] * len(trace.points)
+
+
+@pytest.mark.parametrize("text, start, root", [
+    ("1\nx\nx^2 - 1;", [10.0], [1.0]),
+    ("1\nx\nx^2 - 1;", [100.0], [1.0]),
+    ("1\nx\n(x - 1)*(x - 2);", [10.0], [2.0]),
+    ("1\nx\nx^3 - 8;", [30.0], [2.0]),
+    ("1\nx\nx^2 + 1;", [10.0 + 1.0j], [1.0j]),
+    ("1\nx\nx^5 - 1;", [5.0 + 0.5j], [1.0]),
+])
+def test_far_start_at_a_regular_root_reads_no_kernel(text, start, root):
+    # far from a regular root Newton shrinks the Jacobian as it would toward
+    # a multiple root (x^2 - 1 from 10 looks like x^2), until it nears the
+    # root and the singular values level off at the order of the scale
+    system = parse_system(text)
+    x, status, trace = newton.refine(system, start)
+    assert status == newton.CONVERGED_REGULAR
+    assert trace.ranks == [system.nvars] * len(trace.points)
+    assert np.linalg.norm(x - np.asarray(root)) <= 1e-12
+
+
 def test_refine_converges_to_nearest_simple_root():
     pair = parse_system("1\nx\n(x - 1)*(x - 2);")
     x, status, _ = newton.refine(pair, [0.9])
@@ -101,7 +139,9 @@ def test_refine_rejects_wrong_length(square):
 
 
 def test_refine_trace_budget(square):
-    opts = newton.NewtonOptions(max_iterations=5)
+    # the trend reads a corank from the third iterate on, and the stall rule
+    # needs the same reading on three iterates: 3 steps end before that
+    opts = newton.NewtonOptions(max_iterations=3)
     _, status, trace = newton.refine(square, [0.1], opts)
     assert len(trace.points) <= opts.max_iterations + 1
     assert status == newton.MAX_ITER
