@@ -391,7 +391,8 @@ def _make_rng(seed_or_rng) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_or_rng))
 
 
-def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=None):
+def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *,
+                 jacobian=None, rank=None):
     """Apply one deflation stage at ``x0``; returns (extended, multipliers).
 
     The multipliers are initialized as the minimum-norm least-squares
@@ -399,24 +400,25 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
     which pins them near the kernel direction with anchor . lam = 1.
     ``rng_seed`` may be an integer seed or an existing numpy Generator (the
     deflation loop threads one generator through all its stages).
-    ``factored`` is (Jacobian at ``x0``, its rank) when the caller has
-    them, as the loop does with the rank ``newton.refine`` read at its last
-    iterate, where the singular-value trend may have raised the corank above
-    the scaled cut. Without it the Jacobian is evaluated here and its rank is
-    the scaled cut ``linalg.scaled_rank`` at ``rank_tol``; a Jacobian that is
-    not finite (an overflowing point) raises ``NonFiniteJacobianError``.
+    ``jacobian`` and ``rank`` are the Jacobian at ``x0`` and its rank when
+    the caller has them, as the loop does from the last iterate of
+    ``newton.refine``, whose rank the singular-value trend may have lowered
+    below the scaled cut. Without them the Jacobian is evaluated here, and
+    one that is not finite (an overflowing point) raises
+    ``NonFiniteJacobianError``; the rank is then the scaled cut
+    ``linalg.scaled_rank`` at ``rank_tol``.
     """
     if not 0 < rank_tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
     current = _as_deflated(system)
     x0 = check_point(x0, current.nvars)
-    if factored is None:
-        jac = current.jacobian_at(x0)
-        if not np.isfinite(jac).all():
+    if jacobian is None:
+        jacobian = current.jacobian_at(x0)
+        if not np.isfinite(jacobian).all():
             raise NonFiniteJacobianError("Jacobian is not finite at the given point")
+    if rank is None:
         scale = max(1.0, current.coefficient_scale)
-        factored = jac, linalg.scaled_rank(linalg.singular_values(jac), rank_tol, scale)
-    jac, rank = factored
+        rank = linalg.scaled_rank(linalg.singular_values(jacobian), rank_tol, scale)
     if rank >= current.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
     rng = _make_rng(rng_seed)
@@ -424,7 +426,7 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *, factored=Non
     anchor = unit_circle_matrix(rng, 1, rank + 1)[0]
     stage = DeflationStage(rank=rank, mix=mix, anchor=anchor,
                            nvars_prev=current.nvars, neqs_prev=current.neqs)
-    stacked = np.vstack([jac @ mix, anchor[np.newaxis, :]])
+    stacked = np.vstack([jacobian @ mix, anchor[np.newaxis, :]])
     rhs = np.zeros(current.neqs + 1, dtype=complex)
     rhs[-1] = 1.0
     multipliers = linalg.least_squares(stacked, rhs, rank_tol)
@@ -517,7 +519,8 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
             break
         pending.append({"corank_before": corank, "invcond_before": invcond})
         current, multipliers = deflate_once(current, z, opts.rank_tol, rng,
-                                            factored=trace.factored)
+                                            jacobian=trace.factored,
+                                            rank=trace.ranks[-1])
         z = np.concatenate([z, multipliers])
 
     stage_reports = []

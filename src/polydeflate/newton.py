@@ -9,7 +9,8 @@ the deflated systems do). Its exit statuses:
     history does not look like the geometric decay of a singular root.
 ``stalled_singular``
     the same corank above 0 on the last three iterates while the step
-    lengths refuse to contract by the factor a healthy Newton tail shows.
+    lengths refuse to contract by the factor a healthy Newton tail shows,
+    and no singular value above the kernel still falls as the kernel's do.
     This is the signal that deflation is needed.
 ``max_iter``
     the iteration budget ran out without either verdict.
@@ -32,19 +33,32 @@ reading. It is the larger of two counts:
 * the scale-anchored cut, the singular values at or below
   ``rank_tol * max(sigma_1, scale)`` (``linalg.scaled_rank``);
 * the trend, the trailing singular values that fell by ``_TREND_FALL`` on
-  each of the last two iterates and lie below ``_TREND_CEILING * scale``.
+  each of the last two iterates and lie at or below
+  ``sqrt(rank_tol) * scale``.
 
 Toward a singular root the kernel's singular values shrink with the
 distance, and where J vanishes at the root (x^2 at 0) sigma_1 shrinks too,
-so the trend reads the corank within a few iterates, long before the cut
-does. A regular root's singular values level off instead. The ceiling keeps
-the far field of a regular root, where x^2 - 1 from x = 10 shrinks as x^2
-does, from reading as a kernel. The step itself is truncated by the
-relative rule of ``linalg.numerical_rank`` alone.
+so the trend reads the corank long before the cut does. A regular root's
+singular values level off instead, but only once the iteration is near it:
+from far away a regular root, or a cluster of them, shrinks the Jacobian as
+a multiple root does (x^2 - a from x >> sqrt(a) halves it per step, as x^2
+does). The ceiling is what tells them apart. At the roots +-sqrt(a) of
+x^2 - a the Jacobian is 2 sqrt(a), the gap between them, and the system
+lies a away from x^2. So a pair whose Jacobian levels off above
+sqrt(rank_tol) * scale is read as regular, and only a cluster within the
+order of rank_tol (relative to the scale) of a multiple root can be read
+as one.
+
+While a larger singular value is still falling with the kernel's, the
+corank is still growing (at cross_cubes all three values shrink together
+and cross the ceiling one after the other), so the stall waits for it.
+The step itself is truncated by the relative rule of
+``linalg.numerical_rank`` alone.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -63,11 +77,8 @@ _STALL_WINDOW = 3
 _STEP_TOL = 1e-14
 # a singular value belongs to the kernel once it fell by this factor on each
 # of the last two iterates (a double root halves its kernel value per step)
+# and lies at or below sqrt(rank_tol) * scale (module docstring)
 _TREND_FALL = 0.8
-# ... and lies below this fraction of the coefficient scale: seen from far
-# away a regular root shrinks the singular values as a multiple root does,
-# until they level off near it, typically at the order of the scale
-_TREND_CEILING = 0.02
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,9 @@ class NewtonTrace:
     ``ranks`` holds the rank each iterate read, the smaller of the scaled
     cut and the trend (module docstring); its corank is what the stall rule
     and the convergence test saw. ``factored`` is the Jacobian of the last
-    iterate, which is the point ``refine`` returns, and that iterate's rank:
-    (jacobian, rank), which ``deflate_loop`` hands to ``deflate_once``. It
-    is None when the iteration diverged.
+    iterate, which is the point ``refine`` returns; ``deflate_loop`` hands it
+    to ``deflate_once`` with ``ranks[-1]``. It is None when the iteration
+    diverged.
     """
 
     points: list = field(default_factory=list)
@@ -102,7 +113,7 @@ class NewtonTrace:
     steps: list = field(default_factory=list)
     ranks: list = field(default_factory=list)
     inverse_conditions: list = field(default_factory=list)
-    factored: tuple | None = None
+    factored: np.ndarray | None = None
 
     def record(self, point, residual, rank, inverse_condition):
         self.points.append(np.array(point, dtype=complex))
@@ -142,20 +153,21 @@ def _stall_pattern(steps) -> bool:
     )
 
 
-def _trend_corank(history, scale: float) -> int:
-    """How many of the smallest singular values are falling toward zero.
+def _trend(history, ceiling: float):
+    """Count the smallest singular values that are falling toward zero.
 
-    ``history`` holds the singular values of the iterates so far. A value
-    counts when it fell by ``_TREND_FALL`` on each of the last two iterates
-    and lies below ``_TREND_CEILING * scale``; the count runs up from the
-    smallest and stops at the first value that does not.
+    ``history`` holds the singular values of the last three iterates. A
+    value falls when it shrank by ``_TREND_FALL`` on each of the last two;
+    the counts run up from the smallest and stop at the first value that
+    does not fall. Returns (falling, kernel): how many fall, and how many
+    of those lie at or below ``ceiling`` too.
     """
     if len(history) < 3:
-        return 0
-    older, old, new = history[-3:]
-    falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older)
-               & (new <= _TREND_CEILING * scale))
-    return int(np.cumprod(falling[::-1]).sum())
+        return 0, 0
+    older, old, new = history
+    falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older))[::-1]
+    kernel = falling & (new[::-1] <= ceiling)
+    return int(np.cumprod(falling).sum()), int(np.cumprod(kernel).sum())
 
 
 def refine(system, x0, opts: NewtonOptions | None = None):
@@ -164,9 +176,10 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         opts = NewtonOptions()
     x = check_point(x0, system.nvars, "start point")
     scale = max(1.0, float(system.coefficient_scale))
+    ceiling = math.sqrt(opts.rank_tol) * scale
     ncols = system.nvars
     trace = NewtonTrace()
-    history = []
+    history = collections.deque(maxlen=3)
     exhausted = False
     status = MAX_ITER
 
@@ -181,8 +194,8 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             return x, DIVERGED, trace
         sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
         history.append(sigma)
-        rank = min(linalg.scaled_rank(sigma, opts.rank_tol, scale),
-                   sigma.size - _trend_corank(history, scale))
+        falling, kernel = _trend(history, ceiling)
+        rank = min(linalg.scaled_rank(sigma, opts.rank_tol, scale), sigma.size - kernel)
         corank = ncols - rank
         trace.record(x, residual, rank,
                      linalg.scaled_inverse_condition(sigma, scale))
@@ -195,7 +208,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         if residual <= opts.residual_tol and corank == 0 and (not stall or exhausted):
             status = CONVERGED_REGULAR
             break
-        if corank_stable and stall:
+        if corank_stable and stall and falling <= corank:
             status = STALLED_SINGULAR
             break
         if exhausted or iteration == opts.max_iterations:
@@ -213,5 +226,5 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         if step <= _STEP_TOL:
             exhausted = True
 
-    trace.factored = (jac, rank)
+    trace.factored = jac
     return x, status, trace

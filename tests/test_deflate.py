@@ -735,14 +735,29 @@ def test_planted_root_under_a_unitary_change_and_a_shift(name, multiplicity, see
     assert np.linalg.norm(report.solution[:n] - c) <= 1e-8
 
 
-def test_close_pair_of_regular_roots_is_not_deflated():
-    # roots at x = +-0.01: the trend reads a kernel on the iterates where the
-    # Jacobian falls below its ceiling, but not on three in a row
-    system = parse_system("2\nx y\nx^2 - 1e-4;\ny - 1;")
+@pytest.mark.parametrize("half_gap", [1e-2, 5e-3, 1e-3])
+def test_close_pair_of_regular_roots_is_not_deflated(half_gap):
+    # roots at x = +-half_gap, approached from x = 1: far from the pair the
+    # Jacobian halves per step as at the double root of x^2, but it levels
+    # off at 2 half_gap, above the trend's ceiling sqrt(rank_tol) * scale
+    system = parse_system(f"2\nx y\nx^2 - {half_gap ** 2!r};\ny - 1;")
     report = deflate.deflate_loop(system, [1.0, 1.0])
     assert report.status == newton.CONVERGED_REGULAR
     assert report.deflations == 0
-    assert np.linalg.norm(report.solution - [0.01, 1.0]) <= 1e-10
+    # a residual of 1e-12 over the slope 2 half_gap
+    assert np.linalg.norm(report.solution - [half_gap, 1.0]) <= 1e-12 / half_gap
+
+
+@pytest.mark.parametrize("start", [[100.0, 1e-5], [1e3, 1e-6]])
+def test_far_regular_coordinate_is_not_read_as_kernel(start):
+    # x's singular value halves per step on its way to x = 1 while y's falls
+    # toward the double root y = 0: only y's counts as kernel, and the stall
+    # waits until x's has levelled off, so one stage deflates at the root
+    system = parse_system("2\nx y\nx^2 - 1;\ny^2;")
+    report = deflate.deflate_loop(system, start)
+    assert report.status == newton.CONVERGED_REGULAR
+    assert report.corank_sequence == [1, 0]
+    assert np.linalg.norm(report.solution[:2] - [1.0, 0.0]) <= 1e-8
 
 
 def test_loop_rejects_wrong_point_length(square):
