@@ -51,7 +51,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class _BaseTensors:
         self.neqs = base.neqs
         self.cut = max(1, max(p.degree for p in base.equations))
         self.cache = {(): base.jacobian_matrix}
-        self.layouts = {}   # order -> sorted multi-indices, gather index
+        self.layouts = {}   # order -> _derivative_layout(nvars, order), as requested
 
     def get(self, alpha) -> PolyMatrix:
         found = self.cache.get(alpha)
@@ -135,10 +135,7 @@ class _BaseTensors:
         if order == 0:
             return self.cache[()].evaluate(y, powers)
         if order not in self.layouts:
-            tuples = np.sort(list(product(range(self.nvars), repeat=order)), axis=1)
-            alphas, index = np.unique(tuples, axis=0, return_inverse=True)
-            self.layouts[order] = ([tuple(a) for a in alphas.tolist()],
-                                   index.reshape((self.nvars,) * order))
+            self.layouts[order] = _derivative_layout(self.nvars, order)
         alphas, index = self.layouts[order]
         return np.array([self.get(alpha).evaluate(y, powers) for alpha in alphas])[index]
 
@@ -300,6 +297,26 @@ class DeflatedSystem:
                 last[(0,) * n_prev + unit] = complex(stage.anchor[t])
             equations = lifted + mid + [Polynomial._trusted(n_out, last)]
         return PolySystem(equations, names)
+
+
+@functools.lru_cache(maxsize=32)
+def _derivative_layout(nvars: int, order: int):
+    """The sorted multi-indices of ``order`` over ``nvars`` variables, and where
+    each ordered one lies among them.
+
+    Returns ``(alphas, index)``: ``alphas`` lists the sorted multi-indices
+    in lexicographic order, and ``index[i_1, .., i_order]`` is the position
+    of ``sorted((i_1, .., i_order))`` in it. The layout depends on the two
+    sizes only, so one serves every system with them; ``index`` is
+    read-only.
+    """
+    alphas = tuple(combinations_with_replacement(range(nvars), order))
+    position = {alpha: k for k, alpha in enumerate(alphas)}
+    index = np.array([position[tuple(sorted(tup))]
+                      for tup in product(range(nvars), repeat=order)],
+                     dtype=np.intp).reshape((nvars,) * order)
+    index.flags.writeable = False
+    return alphas, index
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,19 +1,22 @@
 """Dense complex linear algebra: SVD, numerical rank and least squares.
 
 The decompositions are delegated to LAPACK through numpy; this module fixes
-the conventions the rest of the package relies on. ``svd`` returns the
-factors in full (U square of size rows, V square of size cols) with
-``A = U diag(sigma) V^H``; ``pseudo_solve`` applies its rank-truncated
-pseudoinverse. ``singular_values`` is for callers that read only sigma,
-and skips forming U and V. ``truncated_least_squares`` gives sigma and the
-rank-truncated minimum-norm solution of A x ~ b together, which is all a
-Gauss-Newton step needs; on a tall matrix with enough columns it reduces A
-to the triangle of one QR first, and forms no singular vectors at full
-rank. Rank decisions compare singular values against ``tol * sigma_1``
-(``numerical_rank``); the solver layer additionally uses the scale-anchored
-variants at the bottom of this module, which judge near-singular Jacobians
-against the coefficient scale of the system instead of against a leading
-singular value that itself vanishes toward the root.
+the conventions the rest of the package relies on. ``truncated_least_squares``
+gives sigma and the rank-truncated minimum-norm solution of A x ~ b
+together, which is all a Gauss-Newton step needs. It takes one LAPACK call
+(gelsd, through ``np.linalg.lstsq``) on small, square and wide matrices; a
+tall matrix with enough columns is first reduced to the triangle of one QR,
+and forms no singular vectors at full rank. ``singular_values`` is for
+callers that read only sigma. ``svd`` returns the factors in full (U square
+of size rows, V square of size cols) with ``A = U diag(sigma) V^H``, and
+``pseudo_solve`` applies its rank-truncated pseudoinverse; the package's own
+steps no longer call either, they serve the tests as the reference and
+perfbench's tracer, which wraps them by name. Rank decisions compare
+singular values against ``tol * sigma_1`` (``numerical_rank``, the rule
+gelsd applies through its ``rcond``); the solver layer additionally uses the
+scale-anchored variants at the bottom of this module, which judge
+near-singular Jacobians against the coefficient scale of the system instead
+of against a leading singular value that itself vanishes toward the root.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 
 
 class SvdConvergenceError(RuntimeError):
-    """The iterative SVD kernel failed to converge on this input."""
+    """The SVD kernel failed on this input: it did not converge, or an entry
+    of the input is not finite."""
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,14 @@ def singular_values(matrix) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
-def numerical_rank(sigma, tol: float) -> int:
-    """Count the singular values ``sigma`` (descending) above ``tol * sigma_1``."""
+def _check_tol(tol: float) -> None:
     if not 0 < tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
+
+
+def numerical_rank(sigma, tol: float) -> int:
+    """Count the singular values ``sigma`` (descending) above ``tol * sigma_1``."""
+    _check_tol(tol)
     return int(np.count_nonzero(sigma > tol * float(sigma[0])))
 
 
@@ -83,12 +91,27 @@ def pseudo_solve(decomp: SvdResult, b, rank: int) -> np.ndarray:
 
 
 # A tall matrix with at least this many columns is reduced by one QR before
-# its singular values are taken. Measured with one BLAS thread at full rank,
-# the QR path costs 1.5x the full SVD at 5 x 4, 1.2x at 11 x 8, 1.0x at
-# 15 x 11, 0.8x at 23 x 12 and 0.5-0.6x from 63 x 41 to 191 x 128. At
-# deficient rank it costs 1.1-1.7x from 23 x 12 up, since R is decomposed
-# again with its singular vectors (table in CHANGES.md).
-QR_MIN_COLS = 12
+# its singular values are taken; other matrices take one gelsd call. Measured
+# with one BLAS thread at full rank, the QR path costs 1.4x gelsd at 13 x 12,
+# 1.2x at 17 x 12 and 23 x 16, 1.0-1.2x at 31 x 16 and 31 x 20, 0.96x at
+# 37 x 24, 0.7-0.85x from 47 x 24 to 95 x 64 and 0.8x at 191 x 128. At
+# deficient rank it costs 1.4-2.1x at every one of these sizes, since R is
+# decomposed a second time by gelsd (table in CHANGES.md).
+QR_MIN_COLS = 24
+
+
+def _gelsd(a: np.ndarray, b: np.ndarray, tol: float):
+    """(sigma, x) of A x ~ b from one LAPACK gelsd call; finite input only.
+
+    gelsd treats the singular values at or below ``tol * sigma_1`` as zero,
+    the rule of ``numerical_rank``, and returns the minimum-norm solution of
+    the truncated problem.
+    """
+    try:
+        x, _, _, sigma = np.linalg.lstsq(a, b, rcond=tol)
+    except np.linalg.LinAlgError as exc:
+        raise SvdConvergenceError(str(exc)) from exc
+    return sigma, x
 
 
 def truncated_least_squares(matrix, b, tol: float = 1e-8):
@@ -99,25 +122,28 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
     columns is first reduced by one Householder QR of [A b], which gives the
     cols x cols triangle R and c = Q^H b without forming Q (Chan's R-SVD). A
     and R share singular values and truncated solutions, so sigma is that of
-    R, and x solves R x = c at full rank or is the truncated pseudoinverse
-    of R applied to c otherwise. Other matrices take the full ``svd``.
+    R, and x solves R x = c at full rank or comes from gelsd on (R, c)
+    otherwise. Other matrices take gelsd on (A, b) alone. A NaN or infinite
+    entry raises ``SvdConvergenceError`` before LAPACK sees it: gelsd's
+    scaling step neither returns nor raises on one.
     """
     a = _nonempty(matrix)
     rows, cols = a.shape
-    if rows <= cols or cols < QR_MIN_COLS:
-        decomp = svd(a)
-        return decomp.sigma, pseudo_solve(decomp, b, numerical_rank(decomp.sigma, tol))
     b = np.asarray(b, dtype=complex)
     if b.shape != (rows,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({rows},)")
+    _check_tol(tol)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise SvdConvergenceError("least-squares input has a NaN or infinite entry")
+    if rows <= cols or cols < QR_MIN_COLS:
+        return _gelsd(a, b, tol)
     r = np.linalg.qr(np.column_stack([a, b]), mode="r")
     r, c = r[:cols, :cols], r[:cols, cols]
     sigma = singular_values(r)
-    rank = numerical_rank(sigma, tol)
-    if rank == cols:
+    if numerical_rank(sigma, tol) == cols:
         # LU needs no row exchanges on a triangle: this is back substitution
         return sigma, np.linalg.solve(r, c)
-    return sigma, pseudo_solve(svd(r), c, rank)
+    return sigma, _gelsd(r, c, tol)[1]
 
 
 def least_squares(matrix, b, tol: float = 1e-8) -> np.ndarray:

@@ -156,18 +156,24 @@ def _stall_pattern(steps) -> bool:
 def _trend(history, ceiling: float):
     """Count the smallest singular values that are falling toward zero.
 
-    ``history`` holds the singular values of the last three iterates. A
-    value falls when it shrank by ``_TREND_FALL`` on each of the last two;
-    the counts run up from the smallest and stop at the first value that
-    does not fall. Returns (falling, kernel): how many fall, and how many
-    of those lie at or below ``ceiling`` too.
+    ``history`` holds the singular values of the last three iterates, each
+    a descending list. A value falls when it shrank by ``_TREND_FALL`` on
+    each of the last two; the scan runs up from the smallest value and stops
+    at the first that does not fall. Returns (falling, kernel): how many
+    fall, and how many of the smallest ones in a row also lie at or below
+    ``ceiling``.
     """
     if len(history) < 3:
         return 0, 0
     older, old, new = history
-    falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older))[::-1]
-    kernel = falling & (new[::-1] <= ceiling)
-    return int(np.cumprod(falling).sum()), int(np.cumprod(kernel).sum())
+    falling = kernel = 0
+    for i in range(len(new) - 1, -1, -1):
+        if not (new[i] <= _TREND_FALL * old[i] and old[i] <= _TREND_FALL * older[i]):
+            break
+        falling += 1
+        if kernel + 1 == falling and new[i] <= ceiling:
+            kernel = falling
+    return falling, kernel
 
 
 def refine(system, x0, opts: NewtonOptions | None = None):
@@ -193,7 +199,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             trace.record(x, residual, 0, math.nan)
             return x, DIVERGED, trace
         sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
-        history.append(sigma)
+        history.append(sigma.tolist())
         falling, kernel = _trend(history, ceiling)
         rank = min(linalg.scaled_rank(sigma, opts.rank_tol, scale), sigma.size - kernel)
         corank = ncols - rank

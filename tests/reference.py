@@ -12,6 +12,11 @@
   over the block formula of ``polydeflate.deflate``, one call per
   derivative request and no degree cut, against which the batched sweeps
   of ``DeflatedSystem`` are checked.
+* ``unique_layout``: the multi-index layout of a base derivative tensor
+  built with ``np.unique``, against which ``deflate._derivative_layout``
+  is checked.
+* ``cumprod_trend``: the corank trend of ``newton`` as array operations,
+  against which the scan of ``newton._trend`` is checked.
 """
 
 from itertools import product
@@ -20,6 +25,7 @@ import numpy as np
 
 from polydeflate import linalg
 from polydeflate.deflate import RegularPointError
+from polydeflate.newton import _TREND_FALL
 from polydeflate.polysys import Polynomial, PolySystem
 
 
@@ -170,3 +176,23 @@ def recursive_value(system, z, matrices=None):
         pieces.append(jac @ (stage.mix @ mu))
         pieces.append([stage.anchor @ mu - 1.0])
     return np.concatenate(pieces)
+
+
+def unique_layout(nvars: int, order: int):
+    """(sorted multi-indices, gather index) of order ``order`` over ``nvars``
+    variables, from ``np.unique`` over every ordered multi-index."""
+    tuples = np.sort(list(product(range(nvars), repeat=order)), axis=1)
+    alphas, index = np.unique(tuples, axis=0, return_inverse=True)
+    return [tuple(a) for a in alphas.tolist()], index.reshape((nvars,) * order)
+
+
+def cumprod_trend(history, ceiling: float):
+    """(falling, kernel) of three descending spectra, as ``newton._trend``
+    counts them: the leading runs, from the smallest value up, of values
+    that fell by ``_TREND_FALL`` twice, and of those at or below ``ceiling``."""
+    if len(history) < 3:
+        return 0, 0
+    older, old, new = (np.asarray(s, dtype=float) for s in history)
+    falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older))[::-1]
+    kernel = falling & (new[::-1] <= ceiling)
+    return int(np.cumprod(falling).sum()), int(np.cumprod(kernel).sum())

@@ -17,7 +17,7 @@ from polydeflate.polysys import PolySystem, format_system, parse_system
 
 from conftest import load_fixture
 from reference import (compose_system_linear, recursive_jacobians, recursive_value,
-                       symbolic_deflation)
+                       symbolic_deflation, unique_layout)
 
 FIXTURE_ROOTS = [
     ("square.ps", 1, 2),
@@ -455,6 +455,35 @@ def test_request_count_is_the_recursions_call_count():
     groups, links = deflate._sweep_plan(len(current.stages) + 1, current._tensors.cut)
     assert [len(dirs) for dirs in groups] == [1, 63, 301, 350, 140, 21, 1]
     assert len(links) == 6
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_layout_matches_unique(nvars, order):
+    alphas, index = deflate._derivative_layout(nvars, order)
+    expected_alphas, expected_index = unique_layout(nvars, order)
+    assert list(alphas) == expected_alphas
+    assert index.shape == expected_index.shape
+    assert np.array_equal(index, expected_index)
+    with pytest.raises(ValueError, match="read-only"):
+        index[(0,) * order] = 1
+
+
+def test_derivative_layouts_are_built_once_per_process():
+    def solve():
+        report = deflate.deflate_loop(load_fixture("cubic_trio.ps"), [1e-3, -2e-3j],
+                                      max_stages=3)
+        assert report.status == newton.CONVERGED_REGULAR
+        return report
+
+    deflate._derivative_layout.cache_clear()
+    solve()
+    first = deflate._derivative_layout.cache_info()
+    assert first.misses == 2   # orders 1 and 2 of the two base variables
+    solve()
+    second = deflate._derivative_layout.cache_info()
+    assert second.misses == first.misses
+    assert second.hits > first.hits
 
 
 @pytest.mark.parametrize("text,ranks", [

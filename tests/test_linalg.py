@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,10 +175,12 @@ def test_least_squares_residual_orthogonality():
         assert np.linalg.norm(a.conj().T @ (a @ x - b)) <= bound
 
 
-# Shapes on both sides of linalg.QR_MIN_COLS (12): small, wide and square
-# ones take the full SVD, tall ones with 12 or more columns the QR path.
-AGREEMENT_SHAPES = [(5, 4), (11, 8), (15, 11), (8, 20), (16, 16),
-                    (23, 12), (31, 16), (47, 32), (95, 64), (191, 128)]
+# Shapes on both sides of linalg.QR_MIN_COLS (24): small, wide and square
+# ones take gelsd, tall ones with 24 or more columns the QR path. Every
+# shape also runs with deficient spectra, wide and square ones included.
+AGREEMENT_SHAPES = [(5, 4), (11, 8), (15, 11), (8, 20), (12, 30), (16, 16),
+                    (24, 24), (23, 12), (23, 16), (31, 20), (31, 23), (37, 24),
+                    (31, 24), (47, 32), (95, 64), (191, 128)]
 SPECTRA = ["random", "rank_minus_3", "ratio_1e-7", "ratio_1e-9"]
 
 
@@ -290,3 +297,83 @@ def test_scaled_inverse_condition_floor():
         == pytest.approx(1e-12)
     assert linalg.scaled_inverse_condition(np.array([4.0, 2.0]), 1.0) \
         == pytest.approx(0.5)
+
+
+def test_agreement_shapes_straddle_the_qr_cut():
+    tall = [(rows, cols) for rows, cols in AGREEMENT_SHAPES if rows > cols]
+    assert {cols >= linalg.QR_MIN_COLS for _, cols in tall} == {True, False}
+    assert any(cols == linalg.QR_MIN_COLS - 1 for _, cols in tall)
+    assert any(cols == linalg.QR_MIN_COLS for _, cols in tall)
+
+
+# one shape per path: gelsd on A (small and wide) and the QR path, whose
+# deficient triangle goes to gelsd as well
+PATH_SHAPES = [(3, 3), (4, 7), (60, 30)]
+
+
+def deficient(rows, cols):
+    rng = np.random.default_rng([rows, cols])
+    sigma = np.geomspace(1.0, 1e-2, min(rows, cols))
+    sigma[-1] = 0.0
+    return planted(rng, rows, cols, sigma), np.ones(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("rows,cols", PATH_SHAPES)
+def test_least_squares_lapack_failure_is_an_svd_error(monkeypatch, rows, cols):
+    a, b = deficient(rows, cols)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    with pytest.raises(linalg.SvdConvergenceError, match="did not converge"):
+        linalg.truncated_least_squares(a, b)
+
+
+@pytest.mark.parametrize("rows,cols", PATH_SHAPES)
+def test_least_squares_tolerance_domain(rows, cols):
+    a, b = deficient(rows, cols)
+    for bad in (0.0, 1.0, -0.5, 2.0):
+        with pytest.raises(ValueError, match="rank tolerance"):
+            linalg.truncated_least_squares(a, b, bad)
+        with pytest.raises(ValueError, match="rank tolerance"):
+            linalg.least_squares(a, b, bad)
+
+
+NON_FINITE_SCRIPT = """
+import time
+import numpy as np
+from polydeflate import linalg
+
+for rows, cols in {shapes}:
+    for solve in (linalg.truncated_least_squares, linalg.least_squares):
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+            for where in ("matrix", "rhs"):
+                a = np.ones((rows, cols), dtype=complex) + np.eye(rows, cols)
+                b = np.ones(rows, dtype=complex)
+                (a if where == "matrix" else b)[-1] = bad
+                begin = time.perf_counter()
+                try:
+                    solve(a, b)
+                except linalg.SvdConvergenceError:
+                    pass
+                else:
+                    raise SystemExit(f"no error: {{rows}}x{{cols}} {{bad}} in {{where}}")
+                elapsed = time.perf_counter() - begin
+                if elapsed > 1.0:
+                    raise SystemExit(f"{{elapsed:.1f}} s: {{rows}}x{{cols}} {{bad}} in {{where}}")
+print("ok")
+"""
+
+
+def test_non_finite_least_squares_input_raises_without_hanging():
+    # LAPACK's gelsd can hang on an inf or NaN entry instead of returning,
+    # so the check runs in a child process with a timeout
+    src = str(pathlib.Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NON_FINITE_SCRIPT.format(shapes=PATH_SHAPES)],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "ok"

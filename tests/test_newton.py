@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polydeflate import linalg, newton
 from polydeflate.polysys import parse_system
+
+from reference import cumprod_trend
 
 
 @pytest.fixture
@@ -49,18 +52,18 @@ def test_newton_step_shape_mismatch(square):
 def test_newton_step_shape_mismatch_on_a_tall_jacobian():
     # a Jacobian wide enough for the QR path, and one value too few
     rng = np.random.default_rng(3)
-    jac = rng.normal(size=(40, 20)) + 1j * rng.normal(size=(40, 20))
+    jac = rng.normal(size=(60, 30)) + 1j * rng.normal(size=(60, 30))
     assert jac.shape[1] >= linalg.QR_MIN_COLS
 
     class WrongValue:
-        nvars = 20
+        nvars = 30
         coefficient_scale = 1.0
 
         def value_and_jacobian(self, x):
-            return np.ones(39, dtype=complex), jac
+            return np.ones(59, dtype=complex), jac
 
-    with pytest.raises(ValueError, match=r"right-hand side has shape \(39,\)"):
-        newton.refine(WrongValue(), np.zeros(20))
+    with pytest.raises(ValueError, match=r"right-hand side has shape \(59,\)"):
+        newton.refine(WrongValue(), np.zeros(30))
 
 
 def test_refine_regular_root(unit_quadratic):
@@ -107,6 +110,35 @@ def test_trend_reads_no_kernel_at_a_regular_root(unit_quadratic):
     _, status, trace = newton.refine(unit_quadratic, [1.1])
     assert status == newton.CONVERGED_REGULAR
     assert trace.ranks == [unit_quadratic.nvars] * len(trace.points)
+
+
+CEILING = 1e-4   # sqrt(rank_tol) * scale at the defaults
+# values that meet the trend's comparisons with equality: exact 0.8 ratios
+# (computed as the scan computes them), the ceiling, ties and zeros
+EDGES = [0.0, CEILING, newton._TREND_FALL * CEILING,
+         newton._TREND_FALL * (newton._TREND_FALL * CEILING), 1.0,
+         newton._TREND_FALL, newton._TREND_FALL * newton._TREND_FALL, 5e-324]
+VALUES = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 2.0))
+
+
+@st.composite
+def spectra(draw):
+    """Three descending spectra of one size from 1 to 20."""
+    size = draw(st.integers(1, 20))
+    return [sorted(draw(st.lists(VALUES, min_size=size, max_size=size)), reverse=True)
+            for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spectra(), st.sampled_from([CEILING, 0.0, 2.0]))
+@example([[1.0, CEILING],
+          [newton._TREND_FALL, newton._TREND_FALL * CEILING],
+          [newton._TREND_FALL * newton._TREND_FALL,
+           newton._TREND_FALL * (newton._TREND_FALL * CEILING)]], CEILING)
+@example([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], CEILING)
+def test_trend_scan_matches_the_cumprod_counts(history, ceiling):
+    assert newton._trend(history, ceiling) == cumprod_trend(history, ceiling)
+    assert newton._trend(history[1:], ceiling) == (0, 0)
 
 
 @pytest.mark.parametrize("text, start, root", [
