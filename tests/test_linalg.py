@@ -179,8 +179,8 @@ def test_least_squares_residual_orthogonality():
 # ones take gelsd, tall ones with 24 or more columns the QR path. Every
 # shape also runs with deficient spectra, wide and square ones included.
 AGREEMENT_SHAPES = [(5, 4), (11, 8), (15, 11), (8, 20), (12, 30), (16, 16),
-                    (24, 24), (23, 12), (23, 16), (31, 20), (31, 23), (37, 24),
-                    (31, 24), (47, 32), (95, 64), (191, 128)]
+                    (24, 24), (23, 12), (23, 16), (31, 16), (31, 20), (31, 23),
+                    (37, 24), (31, 24), (47, 32), (95, 64), (191, 128)]
 SPECTRA = ["random", "rank_minus_3", "ratio_1e-7", "ratio_1e-9"]
 
 
