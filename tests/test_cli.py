@@ -288,6 +288,19 @@ def test_multiplicity_rejects_overflowing_point(tmp_path, capsys):
     assert "not an approximate root" in err
 
 
+def test_multiplicity_work_cap_exits_one(tmp_path, capsys):
+    # {x_i^2 : i < 40} at the origin: order 2 of the recursion is above the cap
+    names = [f"x{i}" for i in range(40)]
+    system = tmp_path / "squares.ps"
+    system.write_text(f"40\n{' '.join(names)}\n" + "".join(f"{v}^2;\n" for v in names))
+    point = point_file(tmp_path, "p.json", [0.0] * 40)
+    rc = cli.main(["multiplicity", "--system", str(system), "--point", point])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "above the work cap" in err
+
+
 def test_bench_is_not_a_subcommand(capsys):
     rc = cli.main(["bench", "--system", fixture("bench9.ps")])
     assert rc == 1

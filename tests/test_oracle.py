@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -112,7 +114,13 @@ def test_multiplicity_invariant_under_unitary_changes(
 
 
 def reference_macaulay(system, x_star, order):
-    """The unfiltered loop: every term looked up, every row scaled alone."""
+    """The loop without a degree cut: every term looked up, every row scaled
+    alone, and a shifted coefficient dropped at or below 16 eps times the
+    sum over the equation's terms of |c| max(1, |x*|_inf)^degree."""
+    radius = max([1.0] + [abs(complex(v)) for v in x_star])
+    floors = [16 * np.finfo(float).eps * sum(abs(c) * radius ** sum(gamma)
+                                             for gamma, c in p.terms.items())
+              for p in system.equations]
     shifted = [p.shift(x_star) for p in system.equations]
     cols = oracle._monomials_upto(system.nvars, order)
     col_index = {alpha: k for k, alpha in enumerate(cols)}
@@ -122,7 +130,7 @@ def reference_macaulay(system, x_star, order):
     for r, (i, beta) in enumerate(rows):
         for gamma, coeff in shifted[i].terms.items():
             k = col_index.get(tuple(g + b for g, b in zip(gamma, beta)))
-            if k is not None:
+            if k is not None and abs(coeff) > floors[i]:
                 matrix[r, k] = coeff
         norm = np.linalg.norm(matrix[r])
         if norm > 0:
@@ -140,6 +148,22 @@ def reference_nullity(matrix):
     return matrix.shape[1] - int(np.count_nonzero(sigma > oracle.DEFAULT_TOL * sigma[0]))
 
 
+def export_chain(name, seed):
+    """The fixture and each expanded system of its deflation chain at the
+    origin, with the point lifted by the multipliers."""
+    current = DeflatedSystem(load_fixture(name))
+    z = np.zeros(current.nvars, dtype=complex)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    systems = [(current.base, z)]
+    while True:
+        try:
+            current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
+        except RegularPointError:
+            return systems
+        z = np.concatenate([z, multipliers])
+        systems.append((current.expand(), z))
+
+
 @pytest.mark.parametrize("name, chain", [
     ("square.ps", [2, 1]),
     ("axis_quartic.ps", [4, 3, 2, 1]),
@@ -150,19 +174,8 @@ def reference_nullity(matrix):
 def test_nullities_match_the_unfiltered_full_svd_reference(name, chain):
     # every system of the deflation chain at the origin, every order up to
     # the one where the reference nullities repeat
-    current = DeflatedSystem(load_fixture(name))
-    z = np.zeros(current.nvars, dtype=complex)
-    rng = np.random.Generator(np.random.PCG64(13))
-    systems = [(current.base, z)]
-    while True:
-        try:
-            current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
-        except RegularPointError:
-            break
-        z = np.concatenate([z, multipliers])
-        systems.append((current.expand(), z))
     found = []
-    for system, point in systems:
+    for system, point in export_chain(name, 13):
         previous = None
         for order in range(13):
             reference = reference_macaulay(system, point, order)
@@ -177,3 +190,80 @@ def test_nullities_match_the_unfiltered_full_svd_reference(name, chain):
         assert oracle.multiplicity(system, point) == expected
         found.append(expected)
     assert found == chain
+
+
+# ---------------------------------------------------------------------------
+# the closedness recursion that multiplicity runs
+# ---------------------------------------------------------------------------
+
+FIXTURE_ROOTS = [("square.ps", 1), ("axis_quartic.ps", 2), ("cubic_trio.ps", 2),
+                 ("cross_cubes.ps", 3), ("bench9.ps", 9)]
+
+
+def recursion_matches_macaulay(system, point):
+    """Assert the recursion's nullity equals ``dual_nullity_at_order`` at
+    every order until the nullities repeat; return the repeated value."""
+    nullities = oracle._nullities(oracle._recentered(system, point), system.nvars)
+    previous = None
+    for order, current in zip(range(13), nullities):
+        assert current == oracle.dual_nullity_at_order(system, point, order), order
+        if current == previous:
+            return current
+        previous = current
+    raise AssertionError("the nullities did not repeat up to order 12")
+
+
+@pytest.mark.parametrize("name, nvars", FIXTURE_ROOTS)
+def test_recursion_matches_macaulay_on_fixtures_and_export_chains(name, nvars):
+    assert recursion_matches_macaulay(load_fixture(name), np.zeros(nvars)) > 1
+    for seed in range(4):
+        for system, point in export_chain(name, seed):
+            found = recursion_matches_macaulay(system, point)
+            assert oracle.multiplicity(system, point) == found
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_recursion_matches_macaulay_on_powers_and_ladders(d):
+    assert recursion_matches_macaulay(univariate_power(d), [0.0]) == d
+    if d >= 2:
+        ladder = parse_system(f"2\nx y\nx;\ny^{d};")
+        assert recursion_matches_macaulay(ladder, [0.0, 0.0]) == d
+
+
+@pytest.mark.parametrize("name, nvars", FIXTURE_ROOTS)
+def test_recursion_matches_macaulay_off_the_root(name, nvars):
+    system = load_fixture(name)
+    rng = np.random.Generator(np.random.PCG64(17))
+    for distance in 10.0 ** np.arange(-12, -6):
+        for _ in range(3):
+            direction = rng.normal(size=nvars) + 1j * rng.normal(size=nvars)
+            point = distance * direction / np.linalg.norm(direction)
+            recursion_matches_macaulay(system, point)
+
+
+@pytest.mark.parametrize("name, point, expected", [
+    ("cbms2.ps", [0.0] * 3, 8),
+    ("dz2.ps", [0.0] * 3, 16),
+    ("kss5.ps", [1.0] * 5, 16),
+])
+def test_literature_multiplicities(name, point, expected):
+    system = load_fixture(name)
+    assert oracle.multiplicity(system, point) == expected
+    assert recursion_matches_macaulay(system, point) == expected
+
+
+def test_literature_multiplicity_dz1():
+    # the Macaulay loop needs a 4004 x 1365 matrix at order 11, where it settles
+    assert oracle.multiplicity(load_fixture("dz1.ps"), [0.0] * 4) == 131
+
+
+def test_work_cap_refuses_an_order_before_building_it():
+    # {x_i^2 : i < 40} at the origin: order 2 is an 820 x 1641 matrix
+    n = 40
+    squares = PolySystem(
+        [Polynomial(n, {tuple(2 * (k == i) for k in range(n)): 1.0}) for i in range(n)],
+        [f"x{i}" for i in range(n)])
+    begin = time.perf_counter()
+    with pytest.raises(ValueError, match="order 2 needs a 820 x 1641 matrix"):
+        oracle.multiplicity(squares, np.zeros(n))
+    assert time.perf_counter() - begin < 1.0
