@@ -64,7 +64,8 @@ def _num(x) -> str:
 
 
 def _string(s) -> str:
-    return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A JSON string in ASCII: control and non-ASCII characters escaped."""
+    return json.dumps(str(s))
 
 
 def _pair(z) -> str:
@@ -152,7 +153,8 @@ def _load_system(path):
         raise CliError(1, f"{path}: {err}")
 
 
-def _parse_pairs(data, origin):
+def _parse_point(data, expected, origin):
+    """The point in ``data``, a JSON array of ``expected`` [re, im] pairs."""
     if not isinstance(data, list):
         raise CliError(1, f"{origin}: expected a JSON array of [re, im] pairs")
     values = []
@@ -164,7 +166,10 @@ def _parse_pairs(data, origin):
         if not all(map(math.isfinite, entry)):
             raise CliError(1, f"{origin}: coordinate {len(values) + 1} is not finite")
         values.append(complex(entry[0], entry[1]))
-    return np.asarray(values, dtype=complex)
+    try:
+        return check_point(np.asarray(values, dtype=complex), expected)
+    except ValueError as err:
+        raise CliError(1, f"{origin}: {err}")
 
 
 def _load_json(path):
@@ -174,23 +179,23 @@ def _load_json(path):
         raise CliError(1, f"{path}: invalid JSON ({err.msg} at line {err.lineno})")
 
 
-def _checked(point, expected, origin):
-    try:
-        return check_point(point, expected)
-    except ValueError as err:
-        raise CliError(1, f"{origin}: {err}")
-
-
 def _load_point(path, expected):
-    return _checked(_parse_pairs(_load_json(path), path), expected, path)
+    return _parse_point(_load_json(path), expected, path)
 
 
 def _load_point_list(path, expected):
     data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise CliError(1, f"{path}: expected a non-empty JSON array of points")
-    return [_parse_pairs(entry, f"{path}[{k}]")
+    return [_parse_point(entry, expected, f"{path}[{k}]")
             for k, entry in enumerate(data)]
+
+
+def _say(text):
+    """Print ``text``, backslash-escaping what standard output cannot encode
+    (a file name holding a byte that is not UTF-8, say)."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _write_text(path, text):
@@ -213,34 +218,28 @@ def cmd_solve(args) -> int:
     opts = newton.NewtonOptions(rank_tol=args.rank_tol,
                                 residual_tol=args.residual_tol)
 
-    if args.points is not None:
-        if args.emit_deflated is not None:
-            raise CliError(1, "--emit-deflated needs a single --point run")
+    # --point runs as a batch of one start, reported as one object, not a list
+    if args.points is None:
+        starts = [_load_point(args.point, system.nvars)]
+    elif args.emit_deflated is not None:
+        raise CliError(1, "--emit-deflated needs a single --point run")
+    else:
         starts = _load_point_list(args.points, system.nvars)
-        reports = []
-        for index, start in enumerate(starts):
-            start = _checked(start, system.nvars, f"{args.points}[{index}]")
-            reports.append(deflate.deflate_loop(
-                system, start, opts, seed=args.seed + index,
-                max_stages=args.max_deflations, reference=reference,
-                system_name=name))
+    reports = [deflate.deflate_loop(system, start, opts, seed=args.seed + index,
+                                    max_stages=args.max_deflations, reference=reference,
+                                    system_name=name)
+               for index, start in enumerate(starts)]
+    if args.points is None:
+        _write_text(args.out, render_report(reports[0]))
+    else:
         _write_text(args.out, render_reports(reports))
-        for report in reports:
-            print(f"{name}: {report.status}, deflations {report.deflations}, "
-                  f"corank {report.corank_arrow}")
-        good = all(r.status == newton.CONVERGED_REGULAR for r in reports)
-        return 0 if good else 2
-
-    start = _load_point(args.point, system.nvars)
-    report = deflate.deflate_loop(
-        system, start, opts, seed=args.seed,
-        max_stages=args.max_deflations, reference=reference, system_name=name)
-    _write_text(args.out, render_report(report))
     if args.emit_deflated is not None:
-        _write_text(args.emit_deflated, deflate.format_deflated(report.deflated))
-    print(f"{name}: {report.status}, deflations {report.deflations}, "
-          f"corank {report.corank_arrow}")
-    return 0 if report.status == newton.CONVERGED_REGULAR else 2
+        _write_text(args.emit_deflated, deflate.format_deflated(reports[0].deflated))
+    for report in reports:
+        _say(f"{name}: {report.status}, deflations {report.deflations}, "
+             f"corank {report.corank_arrow}")
+    good = all(r.status == newton.CONVERGED_REGULAR for r in reports)
+    return 0 if good else 2
 
 
 def cmd_deflate(args) -> int:
@@ -251,8 +250,8 @@ def cmd_deflate(args) -> int:
     except (deflate.RegularPointError, deflate.NonFiniteJacobianError) as err:
         raise CliError(2, str(err))
     _write_text(args.out, deflate.format_deflated(extended))
-    print(f"wrote {args.out}: {extended.neqs} equations, "
-          f"{extended.nvars} variables (stage rank {extended.stages[-1].rank})")
+    _say(f"wrote {args.out}: {extended.neqs} equations, "
+         f"{extended.nvars} variables (stage rank {extended.stages[-1].rank})")
     return 0
 
 
@@ -306,8 +305,9 @@ def build_parser() -> _Parser:
     group.add_argument("--points", help="JSON array of start points")
     solve.add_argument("--seed", type=int, default=deflate.DEFAULT_SEED,
                        help="random seed (with --points, point k uses seed+k)")
-    solve.add_argument("--rank-tol", type=float, default=1e-8)
-    solve.add_argument("--residual-tol", type=float, default=1e-12)
+    solve.add_argument("--rank-tol", type=float, default=newton.NewtonOptions.rank_tol)
+    solve.add_argument("--residual-tol", type=float,
+                       default=newton.NewtonOptions.residual_tol)
     solve.add_argument("--max-deflations", type=int, default=deflate.STAGE_CAP)
     solve.add_argument("--reference", help="known root for digit counting")
     solve.add_argument("--out", required=True, help="JSON report destination")
@@ -319,7 +319,8 @@ def build_parser() -> _Parser:
     deflate_cmd.add_argument("--system", required=True)
     deflate_cmd.add_argument("--point", required=True)
     deflate_cmd.add_argument("--seed", type=int, default=deflate.DEFAULT_SEED)
-    deflate_cmd.add_argument("--rank-tol", type=float, default=1e-8)
+    deflate_cmd.add_argument("--rank-tol", type=float,
+                             default=newton.NewtonOptions.rank_tol)
     deflate_cmd.add_argument("--out", required=True)
     deflate_cmd.set_defaults(func=cmd_deflate)
 
@@ -327,7 +328,7 @@ def build_parser() -> _Parser:
                                help="dual-space multiplicity at a root")
     mult.add_argument("--system", required=True)
     mult.add_argument("--point", required=True)
-    mult.add_argument("--max-order", type=int, default=12)
+    mult.add_argument("--max-order", type=int, default=oracle.MAX_ORDER)
     mult.set_defaults(func=cmd_multiplicity)
 
     return parser

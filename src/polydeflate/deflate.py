@@ -1,7 +1,8 @@
 """Randomized deflation of singular polynomial roots.
 
 One deflation stage takes a system with Jacobian of numerical rank r at the
-current point, draws a random unit-modulus matrix ``mix`` with r + 1 columns
+current point (as ``newton.read_rank`` reads it, the one rank rule of the
+package), draws a random unit-modulus matrix ``mix`` with r + 1 columns
 and a unit-modulus row ``anchor``, and extends the system with
 
     A(x) (mix @ multipliers) = 0        (one equation per old equation)
@@ -118,7 +119,6 @@ class _BaseTensors:
         self.neqs = base.neqs
         self.cut = max(1, max(p.degree for p in base.equations))
         self.cache = {(): base.jacobian_matrix}
-        self.layouts = {}   # order -> _derivative_layout(nvars, order), as requested
 
     def get(self, alpha) -> PolyMatrix:
         found = self.cache.get(alpha)
@@ -134,9 +134,7 @@ class _BaseTensors:
         """
         if order == 0:
             return self.cache[()].evaluate(y, powers)
-        if order not in self.layouts:
-            self.layouts[order] = _derivative_layout(self.nvars, order)
-        alphas, index = self.layouts[order]
+        alphas, index = _derivative_layout(self.nvars, order)
         return np.array([self.get(alpha).evaluate(y, powers) for alpha in alphas])[index]
 
     def contract(self, dirs, y, powers) -> np.ndarray:
@@ -183,10 +181,6 @@ class DeflatedSystem:
     def with_stage(self, stage: DeflationStage) -> "DeflatedSystem":
         return DeflatedSystem(self.base, self.stages + (stage,),
                               _tensors=self._tensors)
-
-    def multiplier_slice(self, stage_index: int) -> slice:
-        stage = self.stages[stage_index]
-        return slice(stage.nvars_prev, stage.nvars_out)
 
     @property
     def var_names(self):
@@ -402,14 +396,8 @@ def unit_circle_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.nda
     return np.exp(1j * angles)
 
 
-def _make_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.Generator(np.random.PCG64(seed_or_rng))
-
-
-def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *,
-                 jacobian=None, rank=None):
+def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
+                 rng_seed=0, *, jacobian=None, rank=None):
     """Apply one deflation stage at ``x0``; returns (extended, multipliers).
 
     The multipliers are initialized as the minimum-norm least-squares
@@ -422,8 +410,9 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *,
     ``newton.refine``, whose rank the singular-value trend may have lowered
     below the scaled cut. Without them the Jacobian is evaluated here, and
     one that is not finite (an overflowing point) raises
-    ``NonFiniteJacobianError``; the rank is then the scaled cut
-    ``linalg.scaled_rank`` at ``rank_tol``.
+    ``NonFiniteJacobianError``; the rank is then ``newton.read_rank`` of
+    this one spectrum at ``rank_tol``, which with no trend to read is the
+    scaled cut.
     """
     if not 0 < rank_tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
@@ -434,11 +423,11 @@ def deflate_once(system, x0, rank_tol: float = 1e-8, rng_seed=0, *,
         if not np.isfinite(jacobian).all():
             raise NonFiniteJacobianError("Jacobian is not finite at the given point")
     if rank is None:
-        scale = max(1.0, current.coefficient_scale)
-        rank = linalg.scaled_rank(linalg.singular_values(jacobian), rank_tol, scale)
+        rank, _ = newton.read_rank([linalg.singular_values(jacobian)], rank_tol,
+                                   newton.anchor_scale(current))
     if rank >= current.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
-    rng = _make_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     mix = unit_circle_matrix(rng, current.nvars, rank + 1)
     anchor = unit_circle_matrix(rng, 1, rank + 1)[0]
     stage = DeflationStage(rank=rank, mix=mix, anchor=anchor,
@@ -502,61 +491,61 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     solve), lifts the point with the initial multipliers, and repeats. Stops
     on regular convergence, on a refinement that gives up (max_iter) or
     diverges, or at the stage cap; the cap is reported through the status,
-    not an exception.
+    not an exception. ``system`` may already carry stages, with ``x0`` in
+    its variables; the cap, ``deflations`` and the stage reports then count
+    only the stages this call adds.
+
+    Each refinement leaves one corank and one inverse condition, those of
+    its last iterate; stage k added here is reported from entries k and
+    k + 1, with its multipliers read from the final point.
     """
     start = time.perf_counter()
     if opts is None:
         opts = newton.NewtonOptions()
     current = _as_deflated(system)
     base = current.base
+    given = len(current.stages)   # stages the caller's system already has
     x0 = check_point(x0, current.nvars, "start point")
-    scale = max(1.0, base.coefficient_scale)
     digits_initial = None
     if reference is not None:
         digits_initial = newton.correct_digits(x0[:base.nvars], reference)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     z = x0
     corank_sequence = []
-    pending = []
-    status = newton.MAX_ITER
+    inverse_conditions = []
     while True:
         z, status, trace = newton.refine(current, z, opts)
         if not corank_sequence:   # the first refinement's first iterate is x0
             residual_initial = trace.residuals[0]
-        corank = current.nvars - trace.ranks[-1]
-        invcond = trace.inverse_conditions[-1]
-        corank_sequence.append(corank)
-        if pending:
-            pending[-1]["corank_after"] = corank
-            pending[-1]["invcond_after"] = invcond
-        if status != newton.STALLED_SINGULAR or corank == 0:
+        corank_sequence.append(current.nvars - trace.ranks[-1])
+        inverse_conditions.append(trace.inverse_conditions[-1])
+        if status != newton.STALLED_SINGULAR or corank_sequence[-1] == 0:
             break
-        if len(current.stages) >= max_stages:
+        if len(current.stages) - given >= max_stages:
             break
-        pending.append({"corank_before": corank, "invcond_before": invcond})
         current, multipliers = deflate_once(current, z, opts.rank_tol, rng,
                                             jacobian=trace.factored,
                                             rank=trace.ranks[-1])
         z = np.concatenate([z, multipliers])
 
-    stage_reports = []
-    for index, entry in enumerate(pending):
-        window = current.multiplier_slice(index)
-        stage_reports.append(DeflationReport(
-            corank_before=entry["corank_before"],
-            corank_after=entry["corank_after"],
-            inverse_condition_before=entry["invcond_before"],
-            inverse_condition_after=entry["invcond_after"],
-            multiplier_values=z[window].copy(),
-        ))
+    stage_reports = [
+        DeflationReport(
+            corank_before=corank_sequence[k],
+            corank_after=corank_sequence[k + 1],
+            inverse_condition_before=inverse_conditions[k],
+            inverse_condition_after=inverse_conditions[k + 1],
+            multiplier_values=z[stage.nvars_prev:stage.nvars_out].copy(),
+        )
+        for k, stage in enumerate(current.stages[given:])
+    ]
 
     prefix = z[:base.nvars]
     original_jac = base.jacobian_at(prefix)
     inverse_condition_original = math.nan  # no rank to judge after divergence
     if np.isfinite(original_jac).all():
         inverse_condition_original = linalg.scaled_inverse_condition(
-            linalg.singular_values(original_jac), scale)
+            linalg.singular_values(original_jac), newton.anchor_scale(base))
     digits_final = None
     if reference is not None:
         digits_final = newton.correct_digits(prefix, reference)
@@ -566,13 +555,13 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
         nvars=base.nvars,
         neqs=base.neqs,
         status=status,
-        deflations=len(current.stages),
+        deflations=len(stage_reports),
         corank_sequence=corank_sequence,
         solution=z,
         residual_initial=residual_initial,
         residual_final=trace.residuals[-1],
         inverse_condition_original=inverse_condition_original,
-        inverse_condition_final=trace.inverse_conditions[-1],
+        inverse_condition_final=inverse_conditions[-1],
         correct_digits_initial=digits_initial,
         correct_digits_final=digits_final,
         stages=stage_reports,

@@ -11,7 +11,9 @@ the deflated systems do). Its exit statuses:
     the same corank above 0 on the last three iterates while the step
     lengths refuse to contract by the factor a healthy Newton tail shows,
     and no singular value above the kernel still falls as the kernel's do.
-    This is the signal that deflation is needed.
+    This is the signal that deflation is needed. It is also the verdict
+    when the budget runs out on a corank above 0 read on the last three
+    iterates, or when a step below ``_STEP_TOL`` leaves a corank above 0.
 ``max_iter``
     the iteration budget ran out without either verdict.
 ``diverged``
@@ -26,15 +28,19 @@ all above 0.25. Convergence additionally requires that pattern to be absent,
 which keeps a shrinking-but-singular iteration from being misread as a
 regular solution just because the residual crossed the tolerance.
 
-Each iterate reads its corank once; the stall rule, the convergence test,
-``NewtonTrace.ranks`` and the rank handed on to deflation all use that one
-reading. It is the larger of two counts:
+Each iterate reads its corank once, through ``read_rank``; the stall rule,
+the convergence test, ``NewtonTrace.ranks`` and the rank handed on to
+deflation all use that one reading, and ``deflate.deflate_once`` reads a
+rank it is not handed through the same function. The corank is the larger
+of two counts:
 
 * the scale-anchored cut, the singular values at or below
   ``rank_tol * max(sigma_1, scale)`` (``linalg.scaled_rank``);
 * the trend, the trailing singular values that fell by ``_TREND_FALL`` on
   each of the last two iterates and lie at or below
   ``sqrt(rank_tol) * scale``.
+
+``scale`` is the system's coefficient scale, clamped at 1 (``anchor_scale``).
 
 Toward a singular root the kernel's singular values shrink with the
 distance, and where J vanishes at the root (x^2 at 0) sigma_1 shrinks too,
@@ -121,9 +127,6 @@ class NewtonTrace:
         self.ranks.append(int(rank))
         self.inverse_conditions.append(float(inverse_condition))
 
-    def step_ratios(self):
-        return [b / a for a, b in zip(self.steps, self.steps[1:]) if a > 0]
-
 
 def correct_digits(x, x_ref) -> float:
     """Agreement with a reference point in decimal digits, clamped to [0, 16].
@@ -176,18 +179,37 @@ def _trend(history, ceiling: float):
     return falling, kernel
 
 
+def anchor_scale(system) -> float:
+    """The scale the rank decisions are anchored at: the system's coefficient
+    scale, but never below 1."""
+    return max(1.0, float(system.coefficient_scale))
+
+
+def read_rank(history, tol: float, scale: float):
+    """The rank of the last spectrum in ``history``, and the trend's fall count.
+
+    ``history`` holds the descending singular values of up to the last three
+    iterates, oldest first. The rank is the smaller of the scaled cut
+    (``linalg.scaled_rank``) and the size less the trend's kernel (module
+    docstring); with fewer than three spectra there is no trend, and it is
+    the scaled cut alone. Returns (rank, falling), ``falling`` counting the
+    trailing values that fall, in the kernel or not.
+    """
+    falling, kernel = _trend(history, math.sqrt(tol) * scale)
+    sigma = history[-1]
+    return min(linalg.scaled_rank(sigma, tol, scale), len(sigma) - kernel), falling
+
+
 def refine(system, x0, opts: NewtonOptions | None = None):
     """Iterate Gauss-Newton from ``x0``; returns (x_final, status, trace)."""
     if opts is None:
         opts = NewtonOptions()
     x = check_point(x0, system.nvars, "start point")
-    scale = max(1.0, float(system.coefficient_scale))
-    ceiling = math.sqrt(opts.rank_tol) * scale
+    scale = anchor_scale(system)
     ncols = system.nvars
     trace = NewtonTrace()
     history = collections.deque(maxlen=3)
     exhausted = False
-    status = MAX_ITER
 
     for iteration in range(opts.max_iterations + 1):
         fx, jac = system.value_and_jacobian(x)
@@ -200,8 +222,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             return x, DIVERGED, trace
         sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
         history.append(sigma.tolist())
-        falling, kernel = _trend(history, ceiling)
-        rank = min(linalg.scaled_rank(sigma, opts.rank_tol, scale), sigma.size - kernel)
+        rank, falling = read_rank(history, opts.rank_tol, scale)
         corank = ncols - rank
         trace.record(x, residual, rank,
                      linalg.scaled_inverse_condition(sigma, scale))
@@ -218,12 +239,10 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             status = STALLED_SINGULAR
             break
         if exhausted or iteration == opts.max_iterations:
-            if corank_stable:
-                status = STALLED_SINGULAR
-            elif corank > 0 and exhausted:
-                status = STALLED_SINGULAR
-            else:
-                status = MAX_ITER
+            # out of steps or of budget: a corank read on the whole window,
+            # or on an iterate that cannot move, still asks for deflation
+            singular = corank_stable or (corank > 0 and exhausted)
+            status = STALLED_SINGULAR if singular else MAX_ITER
             break
 
         step = float(np.linalg.norm(dx))

@@ -6,8 +6,8 @@ c_alpha [u^alpha] f over the system recentered at the root, that annihilate
 the ideal. Truncated at order d (|alpha| <= d, c(u^beta f_i) = 0 for |beta|
 <= d - 1) it grows with d and is stationary exactly at the multiplicity; the
 first repeat is returned. ``macaulay_matrix`` holds one order's conditions,
-rows (i, beta) scaled to unit norm over C(n + d, d) columns; its nullity
-(``dual_nullity_at_order``) is the definition the tests check against.
+rows (i, beta) scaled to unit norm over C(n + d, d) columns; its nullity is
+the definition the tests check the recursion against.
 
 ``multiplicity`` runs the closedness recursion (Mourrain, J. Pure Appl.
 Algebra 117-118, 1997; Zeng, Contemp. Math. 496, 2009): c is of order d iff
@@ -47,6 +47,7 @@ WORK_CAP = 2e9   # max(rows, cols) cols^2 of one order; DZ1 needs 1.2e9
 DEFAULT_TOL = 1e-6
 ROOT_RESIDUAL_TOL = 1e-6
 SHIFT_ROUNDING = 16   # in units of eps; see _recentered
+MAX_ORDER = 12   # the highest order ``multiplicity`` tries by default
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,6 @@ def macaulay_matrix(system: PolySystem, x_star, order: int) -> MacaulayMatrix:
     return MacaulayMatrix(matrix=matrix)
 
 
-def dual_nullity_at_order(system: PolySystem, x_star, order: int) -> int:
-    """Dimension of the order-d truncation of the annihilating dual space."""
-    mac = macaulay_matrix(system, x_star, order)
-    ncols = mac.matrix.shape[1]
-    if mac.matrix.shape[0] == 0:
-        return ncols
-    sigma = linalg.singular_values(mac.matrix)
-    return ncols - linalg.numerical_rank(sigma, DEFAULT_TOL)
-
-
 @functools.lru_cache(maxsize=32)
 def _closedness_layout(nvars: int, order: int):
     """Read-only index arrays of order >= 1: ``index`` places the exponents of
@@ -178,7 +169,7 @@ def _nullities(graded, nvars: int):
         basis = np.linalg.qr(lift @ null)[0]
 
 
-def multiplicity(system: PolySystem, x_star, max_order: int = 12):
+def multiplicity(system: PolySystem, x_star, max_order: int = MAX_ORDER):
     """Multiplicity of the root ``x_star``, or None if it does not settle.
 
     Raises ValueError when ``x_star`` is not an approximate root, or when an

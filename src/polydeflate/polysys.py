@@ -218,10 +218,6 @@ class Polynomial:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

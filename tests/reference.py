@@ -17,13 +17,18 @@
   is checked.
 * ``cumprod_trend``: the corank trend of ``newton`` as array operations,
   against which the scan of ``newton._trend`` is checked.
+* ``step_ratios``: the ratios of consecutive Newton step lengths, in which
+  linear and quadratic convergence show.
+* ``dual_nullity_at_order``: the nullity of one order's Macaulay matrix,
+  the definition against which the closedness recursion of
+  ``oracle.multiplicity`` is checked.
 """
 
 from itertools import product
 
 import numpy as np
 
-from polydeflate import linalg
+from polydeflate import linalg, oracle
 from polydeflate.deflate import RegularPointError
 from polydeflate.newton import _TREND_FALL
 from polydeflate.polysys import Polynomial, PolySystem
@@ -196,3 +201,18 @@ def cumprod_trend(history, ceiling: float):
     falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older))[::-1]
     kernel = falling & (new[::-1] <= ceiling)
     return int(np.cumprod(falling).sum()), int(np.cumprod(kernel).sum())
+
+
+def step_ratios(steps):
+    """step_(k+1) / step_k for each pair of consecutive steps, skipping a zero step."""
+    return [b / a for a, b in zip(steps, steps[1:]) if a > 0]
+
+
+def dual_nullity_at_order(system: PolySystem, x_star, order: int) -> int:
+    """Dimension of the order-d truncation of the annihilating dual space."""
+    mac = oracle.macaulay_matrix(system, x_star, order)
+    ncols = mac.matrix.shape[1]
+    if mac.matrix.shape[0] == 0:
+        return ncols
+    sigma = linalg.singular_values(mac.matrix)
+    return ncols - linalg.numerical_rank(sigma, oracle.DEFAULT_TOL)

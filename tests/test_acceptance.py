@@ -16,7 +16,7 @@ from polydeflate.deflate import DeflatedSystem
 from polydeflate.polysys import parse_system
 
 from conftest import load_fixture
-from reference import symbolic_deflation
+from reference import step_ratios, symbolic_deflation
 
 SINGULAR_FIXTURES = [
     # fixture file, start point near the singular root at the origin
@@ -84,7 +84,7 @@ def test_criterion_3_deflation_restores_quadratic_convergence():
         # before any deflation: a sustained linear regime at the root
         _, status, trace = newton.refine(system, x0, newton.NewtonOptions())
         assert status == newton.STALLED_SINGULAR
-        run = longest_ratio_run(trace.step_ratios(), 0.2)
+        run = longest_ratio_run(step_ratios(trace.steps), 0.2)
         assert run >= 3
 
         # after the final stage: one Newton step squares the error

@@ -5,10 +5,11 @@ checks exit codes, report contents, and the error channel.
 """
 
 import json
+import os
 
 import pytest
 
-from polydeflate import cli
+from polydeflate import cli, deflate
 from polydeflate.polysys import parse_system
 
 from conftest import FIXTURES
@@ -64,6 +65,21 @@ def test_solve_regular_root_no_deflation(tmp_path):
     assert report["deflations"] == 0
     assert report["corank_sequence"] == [0]
     assert report["stages"] == []
+
+
+@pytest.mark.parametrize("name", ["a\tb", os.fsdecode(b"c\xff")])
+def test_system_name_is_escaped_in_the_report(tmp_path, capsys, name):
+    # a control character, and a byte that is not UTF-8 (a lone surrogate once decoded)
+    system = tmp_path / f"{name}.ps"
+    system.write_text("1\nx\nx^2;\n")
+    start = point_file(tmp_path, "p.json", [0.1])
+    out = tmp_path / "report.json"
+    rc = cli.main(["solve", "--system", str(system), "--point", start, "--out", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    assert text.isascii()
+    assert json.loads(text)["system"] == name
+    assert ": converged_regular, deflations 1" in capsys.readouterr().out
 
 
 def test_solve_with_reference_digits(tmp_path):
@@ -197,6 +213,19 @@ def test_wrong_point_length_messages_are_one_line(tmp_path, capsys):
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: {origin}: point has 2 coordinates, expected 1\n")
+
+
+def test_points_are_all_checked_before_any_solve(tmp_path, capsys, monkeypatch):
+    starts = write_json(tmp_path / "starts.json",
+                        [[[0.1, 0.0]], [[0.2, 0.0]], [[0.1, 0.0], [0.2, 0.0]]])
+    solved = []
+    monkeypatch.setattr(deflate, "deflate_loop", lambda *args, **kwargs: solved.append(args))
+    rc = cli.main(["solve", "--system", fixture("square.ps"),
+                   "--points", starts, "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert solved == []
+    assert capsys.readouterr().err == (
+        f"error: {starts}[2]: point has 2 coordinates, expected 1\n")
 
 
 def test_usage_error_exits_one(capsys):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from polydeflate import linalg, newton
 from polydeflate.polysys import parse_system
 
-from reference import cumprod_trend
+from reference import cumprod_trend, step_ratios
 
 
 @pytest.fixture
@@ -78,7 +80,7 @@ def test_refine_regular_root(unit_quadratic):
 def test_refine_stalls_on_double_root(square):
     x, status, trace = newton.refine(square, [0.1])
     assert status == newton.STALLED_SINGULAR
-    ratios = trace.step_ratios()
+    ratios = step_ratios(trace.steps)
     window = [
         ratio
         for ratio, point in zip(ratios, trace.points[1:])
@@ -110,6 +112,24 @@ def test_trend_reads_no_kernel_at_a_regular_root(unit_quadratic):
     _, status, trace = newton.refine(unit_quadratic, [1.1])
     assert status == newton.CONVERGED_REGULAR
     assert trace.ranks == [unit_quadratic.nvars] * len(trace.points)
+
+
+def test_read_rank_is_the_scaled_cut_until_a_trend_shows():
+    sigma = [2.0, 1e-3, 1e-9]
+    cut = linalg.scaled_rank(sigma, 1e-8, 1.0)
+    assert cut == 2
+    for history in ([sigma], [sigma, sigma], [sigma] * 3):
+        assert newton.read_rank(history, 1e-8, 1.0) == (cut, 0)
+    # the second value halves per iterate: falling, but in the kernel only
+    # once at or below the ceiling sqrt(1e-8) * scale
+    assert newton.read_rank([[1.0, 4e-3], [1.0, 2e-3], [1.0, 1e-3]], 1e-8, 1.0) == (2, 1)
+    assert newton.read_rank([[1.0, 4e-3], [1.0, 2e-3], [1.0, 1e-3]], 1e-8, 10.0) == (1, 1)
+
+
+@pytest.mark.parametrize("coefficient_scale, scale", [(0.25, 1.0), (1.0, 1.0), (3.5, 3.5)])
+def test_anchor_scale_clamps_at_one(coefficient_scale, scale):
+    system = types.SimpleNamespace(coefficient_scale=coefficient_scale)
+    assert newton.anchor_scale(system) == scale
 
 
 CEILING = 1e-4   # sqrt(rank_tol) * scale at the defaults

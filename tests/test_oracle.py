@@ -9,7 +9,7 @@ from polydeflate.linalg import numerical_rank, svd
 from polydeflate.polysys import Polynomial, PolySystem, parse_system
 
 from conftest import load_fixture
-from reference import compose_system_linear
+from reference import compose_system_linear, dual_nullity_at_order
 
 
 def univariate_power(d):
@@ -52,18 +52,18 @@ def test_multiplicity_sentinel_when_not_stabilized():
 
 
 def test_dual_nullity_order_zero_is_evaluation(square, cubic_trio):
-    assert oracle.dual_nullity_at_order(square, [0.0], 0) == 1
-    assert oracle.dual_nullity_at_order(cubic_trio, [0.0, 0.0], 0) == 1
+    assert dual_nullity_at_order(square, [0.0], 0) == 1
+    assert dual_nullity_at_order(cubic_trio, [0.0, 0.0], 0) == 1
 
 
 def test_dual_nullity_square_fixture(square):
-    assert oracle.dual_nullity_at_order(square, [0.0], 1) == 2
-    assert oracle.dual_nullity_at_order(square, [0.0], 3) == 2
+    assert dual_nullity_at_order(square, [0.0], 1) == 2
+    assert dual_nullity_at_order(square, [0.0], 3) == 2
 
 
 def test_dual_nullity_monotone_until_stable(cubic_trio, cross_cubes):
     for system, point in ((cubic_trio, [0.0, 0.0]), (cross_cubes, [0.0, 0.0, 0.0])):
-        values = [oracle.dual_nullity_at_order(system, point, d) for d in range(7)]
+        values = [dual_nullity_at_order(system, point, d) for d in range(7)]
         assert values == sorted(values)
         m = oracle.multiplicity(system, point)
         assert values[-1] == m
@@ -183,7 +183,7 @@ def test_nullities_match_the_unfiltered_full_svd_reference(name, chain):
             mac = oracle.macaulay_matrix(system, point, order)
             # equal before row scaling; the scaling may differ by one rounding
             np.testing.assert_allclose(mac.matrix, reference, rtol=1e-14, atol=0)
-            assert oracle.dual_nullity_at_order(system, point, order) == expected
+            assert dual_nullity_at_order(system, point, order) == expected
             if expected == previous:
                 break
             previous = expected
@@ -206,7 +206,7 @@ def recursion_matches_macaulay(system, point):
     nullities = oracle._nullities(oracle._recentered(system, point), system.nvars)
     previous = None
     for order, current in zip(range(13), nullities):
-        assert current == oracle.dual_nullity_at_order(system, point, order), order
+        assert current == dual_nullity_at_order(system, point, order), order
         if current == previous:
             return current
         previous = current
