@@ -8,8 +8,8 @@ Subcommands:
   expanded polynomial system.
 * ``multiplicity``: print the dual-space multiplicity of a root.
 
-Exit codes: 0 on success, 1 for unusable input (bad flags, unreadable
-files, parse errors), 2 when the computation did not reach its goal
+Exit codes: 0 on success, 1 for unusable input (bad flags, files that
+cannot be read or are not UTF-8 text, parse errors), 2 when the computation did not reach its goal
 (no convergence, divergence, deflation requested at a regular point
 or at one where the Jacobian overflows),
 3 when the multiplicity search did not stabilize.
@@ -140,9 +140,12 @@ def render_reports(reports) -> str:
 
 def _read_text(path) -> str:
     try:
-        return pathlib.Path(path).read_text()
+        return pathlib.Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise CliError(1, f"cannot read {path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:   # no strerror: name the first bad byte
+        raise CliError(1, f"cannot read {path}: not UTF-8 text "
+                          f"(byte {err.object[err.start]:#04x} at offset {err.start})")
 
 
 def _load_system(path):

@@ -17,10 +17,11 @@ the deflated systems do). Its exit statuses:
 ``max_iter``
     the iteration budget ran out without either verdict.
 ``diverged``
-    the value or the Jacobian at an iterate is not finite, so no step can
-    be taken. A non-finite Jacobian has no numerical rank: the iterate is
-    recorded with rank 0 and a NaN inverse condition, and ``factored``
-    stays None.
+    no step can be taken from an iterate: its value or its Jacobian is not
+    finite, or LAPACK failed to converge on the step (both raise
+    ``linalg.SvdConvergenceError`` in the least-squares solve). No rank is
+    read then: the iterate is recorded with rank 0 and a NaN inverse
+    condition, and ``factored`` stays None.
 
 At a multiple root plain Newton contracts linearly (ratios such as 1/2 on a
 double root), so the stall pattern is defined as: the last three step ratios
@@ -214,13 +215,11 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     for iteration in range(opts.max_iterations + 1):
         fx, jac = system.value_and_jacobian(x)
         residual = float(np.linalg.norm(fx))
-        # a finite residual needs finite values; only an infinite one (or an
-        # overflowing norm) makes checking the entries of fx worthwhile
-        if not np.isfinite(jac).all() or not (math.isfinite(residual)
-                                               or np.isfinite(fx).all()):
+        try:
+            sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
+        except linalg.SvdConvergenceError:
             trace.record(x, residual, 0, math.nan)
             return x, DIVERGED, trace
-        sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
         history.append(sigma.tolist())
         rank, falling = read_rank(history, opts.rank_tol, scale)
         corank = ncols - rank

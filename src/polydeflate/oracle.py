@@ -70,18 +70,18 @@ def _monomials_upto(nvars: int, degree: int):
 
 
 def _recentered(system: PolySystem, x_star):
-    """Each equation about ``x_star`` as sorted (degree, exponents, coefficient)
-    triples, less the shift's rounding: coefficients at or below
-    SHIFT_ROUNDING eps sum_t |c_t| max(1, |x*|_inf)^deg(t) over its terms t."""
+    """Each equation about ``x_star`` as (degree, exponents, coefficient)
+    triples in its terms' graded order, less the shift's rounding:
+    coefficients at or below SHIFT_ROUNDING eps sum_t |c_t|
+    max(1, |x*|_inf)^deg(t) over its terms t."""
     center = check_point(x_star, system.nvars)
     radius = max(1.0, *np.abs(center))
     graded = []
     for p in system.equations:
         floor = SHIFT_ROUNDING * np.finfo(float).eps * sum(
             abs(c) * radius ** sum(gamma) for gamma, c in p.terms.items())
-        # (degree, exponents) is unique, so sorting never compares coefficients
-        graded.append(sorted((sum(gamma), gamma, c)
-                             for gamma, c in p.shift(center).terms.items() if abs(c) > floor))
+        graded.append([(sum(gamma), gamma, c)
+                       for gamma, c in p.shift(center).terms.items() if abs(c) > floor])
     return graded
 
 

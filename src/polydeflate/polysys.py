@@ -6,9 +6,12 @@ coefficients; a :class:`PolySystem` bundles equations with variable names and
 offers numeric evaluation of the system and of its Jacobian matrix, which is
 itself a :class:`PolyMatrix` of symbolic partial derivatives.
 
-Terms are kept in a fixed graded lexicographic order so that evaluation sums
-in a reproducible sequence. Coefficients whose modulus falls below
-``DROP_TOL`` (an underflow guard only) are dropped during arithmetic.
+A polynomial holds one term map, ``terms``, whose iteration order is graded
+lexicographic (total degree, then exponents): evaluation sums in that
+reproducible sequence, printing and hashing follow it, the degree is that of
+the last term, and the dual-space oracle reads the terms by degree as they
+come. Coefficients whose modulus falls below ``DROP_TOL`` (an underflow guard
+only) are dropped during arithmetic.
 
 Polynomials are built on one of two paths. The public constructor
 ``Polynomial(nvars, terms)`` checks its input: every exponent tuple is
@@ -17,12 +20,17 @@ converted to Python ``complex``. It serves everything that comes from
 outside: callers and tests. Results of arithmetic on polynomials (``+``,
 ``-``, ``*``, ``**``, ``differentiate``, ``shift``, ``embed``,
 ``PolyMatrix.right_multiply``) and parsed polynomials are built from terms
-that are valid by construction and go through
-``Polynomial._trusted``, which skips those checks but still cleans the
+that are valid by construction and go through ``Polynomial._trusted``,
+which skips those checks. The checked path sums repeated monomials and then
+finishes as ``_trusted`` does, through ``_canonical``: it cleans the
 coefficients (``_clean``: drops tiny ones, makes zero parts positive) and
 orders the terms. Sums (a parsed polynomial, a row times a matrix column)
 are accumulated in one dictionary and constructed once: building one per
 added term would make a long sum quadratic in its length.
+
+A ``PolyMatrix`` whose entries are all constant is evaluated when it is
+built; every evaluation checks the point and returns that one read-only
+array.
 
 The parser works on plain term dictionaries. It multiplies with the same
 ``_mul_terms`` and ``_pow_terms`` as ``*`` and ``**`` and cleans where they
@@ -70,12 +78,6 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _grlex_item(item):
-    """Sort key of a (exponents, coefficient) pair: graded lexicographic."""
-    exponents = item[0]
-    return (sum(exponents), exponents)
-
-
 def _fmt_real(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -114,16 +116,23 @@ def _power(point, j, e, cache):
     return v
 
 
-def _clean(terms: dict) -> dict:
-    """``terms`` as polynomial arithmetic keeps them: ``+ 0j`` turns a
-    negative zero part into a positive one, and moduli below ``DROP_TOL``
-    are dropped."""
+def _clean(items) -> dict:
+    """The (exponents, coefficient) pairs ``items`` as a term dict that
+    polynomial arithmetic keeps, in their order: ``+ 0j`` turns a negative
+    zero part into a positive one, and moduli below ``DROP_TOL`` are
+    dropped."""
     clean = {}
-    for exps, c in terms.items():
+    for exps, c in items:
         c = c + 0j
         if not abs(c) < DROP_TOL:
             clean[exps] = c
     return clean
+
+
+def _canonical(terms: dict) -> dict:
+    """``terms`` cleaned (``_clean``) and in graded lexicographic order (total
+    degree, then exponents), the term map every ``Polynomial`` holds."""
+    return _clean(sorted(terms.items(), key=lambda item: (sum(item[0]), item[0])))
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -142,23 +151,23 @@ def _pow_terms(terms: dict, exponent: int, nvars: int) -> dict:
     result = {(0,) * nvars: 1 + 0j}
     while exponent:
         if exponent & 1:
-            result = _clean(_mul_terms(result, terms))
+            result = _clean(_mul_terms(result, terms).items())
         exponent >>= 1
         if exponent:
-            terms = _clean(_mul_terms(terms, terms))
+            terms = _clean(_mul_terms(terms, terms).items())
     return result
 
 
 class Polynomial:
     """Immutable sparse polynomial in ``nvars`` complex variables."""
 
-    __slots__ = ("nvars", "terms", "_ordered")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
             raise ValueError("a polynomial needs at least one variable")
         self.nvars = int(nvars)
-        clean = {}
+        summed = {}
         items: Iterable
         if terms is None:
             items = ()
@@ -174,13 +183,8 @@ class Polynomial:
                 )
             if min(exps) < 0:
                 raise ValueError(f"negative exponent in monomial {exps}")
-            c = clean.get(exps, 0j) + complex(coeff)
-            if abs(c) < DROP_TOL:
-                clean.pop(exps, None)
-            else:
-                clean[exps] = c
-        self.terms = clean
-        self._ordered = tuple(sorted(clean.items(), key=_grlex_item))
+            summed[exps] = summed.get(exps, 0j) + complex(coeff)
+        self.terms = _canonical(summed)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
@@ -188,13 +192,12 @@ class Polynomial:
 
         ``terms`` maps exponent tuples of length ``nvars`` (nonnegative ints)
         to Python complex numbers, which holds for anything computed from
-        valid polynomials and Python complex scalars. ``_clean`` keeps the
-        coefficients exactly as the checked constructor keeps them.
+        valid polynomials and Python complex scalars. It finishes as the
+        checked constructor does, through ``_canonical``.
         """
         self = object.__new__(cls)
         self.nvars = nvars
-        self.terms = clean = _clean(terms)
-        self._ordered = tuple(sorted(clean.items(), key=_grlex_item))
+        self.terms = _canonical(terms)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -219,13 +222,10 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree, that of the last term; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
-
-    def coefficient_scale(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return sum(next(reversed(self.terms)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -233,7 +233,7 @@ class Polynomial:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, self._ordered))
+        return hash((self.nvars, tuple(self.terms.items())))
 
     def __repr__(self):
         body = self.format(tuple(f"x{k}" for k in range(self.nvars)))
@@ -317,7 +317,7 @@ class Polynomial:
     def _evaluate(self, point, cache) -> complex:
         """``evaluate`` without the length check, for callers that made it."""
         total = 0j
-        for exps, c in self._ordered:
+        for exps, c in self.terms.items():
             v = c
             for j, e in enumerate(exps):
                 if e:
@@ -365,10 +365,10 @@ class Polynomial:
     def format(self, names: Sequence[str]) -> str:
         if len(names) != self.nvars:
             raise ValueError("need one name per variable")
-        if not self._ordered:
+        if not self.terms:
             return "0"
         pieces = []
-        for exps, coeff in self._ordered:
+        for exps, coeff in self.terms.items():
             mono = "*".join(
                 names[j] if e == 1 else f"{names[j]}^{e}"
                 for j, e in enumerate(exps) if e
@@ -393,7 +393,7 @@ class Polynomial:
 class PolyMatrix:
     """Rectangular grid of polynomials sharing one variable space."""
 
-    __slots__ = ("entries", "rows", "cols", "nvars", "_const", "_constflag")
+    __slots__ = ("entries", "rows", "cols", "nvars", "_const")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]]):
         grid = tuple(tuple(row) for row in entries)
@@ -411,33 +411,21 @@ class PolyMatrix:
         self.rows = len(grid)
         self.cols = width
         self.nvars = nvars
+        # the value of a matrix without a variable, computed once: read-only,
+        # since every evaluation hands out this one array
         self._const = None
-        self._constflag = None
-
-    @property
-    def is_constant(self) -> bool:
-        if self._constflag is None:
-            self._constflag = all(
-                p.degree <= 0 for row in self.entries for p in row
-            )
-        return self._constflag
-
-    def constant_value(self) -> np.ndarray:
-        """Cached numeric value, valid only when ``is_constant``."""
-        if self._const is None:
-            if not self.is_constant:
-                raise ValueError("matrix is not constant")
-            origin = (0,) * self.nvars
-            self._const = np.array(
-                [[row_p.terms.get(origin, 0j) for row_p in row] for row in self.entries],
-                dtype=complex,
-            )
-        return self._const
+        if all(p.degree <= 0 for row in grid for p in row):
+            origin = (0,) * nvars
+            self._const = np.array([[p.terms.get(origin, 0j) for p in row] for row in grid],
+                                   dtype=complex)
+            self._const.flags.writeable = False
 
     def evaluate(self, point: Sequence[complex], cache=None) -> np.ndarray:
-        if self.is_constant:
-            return self.constant_value()
+        """The entries' values at ``point``; a constant matrix returns its one
+        read-only array."""
         check_point(point, self.nvars)
+        if self._const is not None:
+            return self._const
         if cache is None:
             cache = {}
         out = np.empty((self.rows, self.cols), dtype=complex)
@@ -469,10 +457,6 @@ class PolyMatrix:
                 new_row.append(Polynomial._trusted(self.nvars, acc))
             out.append(new_row)
         return PolyMatrix(out)
-
-    def coefficient_scale(self) -> float:
-        return max((p.coefficient_scale() for row in self.entries for p in row),
-                   default=0.0)
 
 
 class PolySystem:
@@ -544,7 +528,8 @@ class PolySystem:
     def coefficient_scale(self) -> float:
         """Largest coefficient modulus appearing in the Jacobian."""
         if self._scale is None:
-            self._scale = self.jacobian_matrix.coefficient_scale()
+            self._scale = max((abs(c) for row in self.jacobian_matrix.entries
+                               for p in row for c in p.terms.values()), default=0.0)
         return self._scale
 
 
@@ -679,7 +664,7 @@ class _Parser:
                 factor = self.atom()
                 if tokens[self.pos][0] == "^":
                     factor = _pow_terms(factor, self.exponent(), self.nvars)
-                acc = factor if acc is None else _clean(_mul_terms(acc, factor))
+                acc = factor if acc is None else _clean(_mul_terms(acc, factor).items())
             if tokens[self.pos][0] != "*":
                 break
             self.pos += 1
@@ -707,8 +692,7 @@ class _Parser:
             v = float(value)
             if math.isinf(v) and self.overflow is None:  # no literal is negative or NaN
                 self.overflow = (f"number {value} is out of range", line, col)
-            c = 0j + (complex(v) if kind == "num" else complex(0.0, v))
-            return {} if abs(c) < DROP_TOL else {self.origin: c}
+            return _clean([(self.origin, complex(v) if kind == "num" else complex(0.0, v))])
         if kind == "name":
             if value in ("i", "j"):
                 self.pos += 1
@@ -716,7 +700,7 @@ class _Parser:
             raise ParseError(f"unknown variable {value!r}", line, col)
         if kind == "(":
             self.pos += 1
-            inner = _clean(self.sum())
+            inner = _clean(self.sum().items())
             if self.tokens[self.pos][0] != ")":
                 self.fail("expected ')'")
             self.pos += 1

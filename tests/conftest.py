@@ -11,6 +11,13 @@ def load_fixture(name):
     return parse_system((FIXTURES / name).read_text())
 
 
+def is_graded(exponents):
+    """Whether the exponent tuples come in graded lexicographic order, the
+    order of every polynomial's terms: by total degree, then exponents."""
+    exponents = list(exponents)
+    return exponents == sorted(exponents, key=lambda e: (sum(e), e))
+
+
 @pytest.fixture
 def square():
     return load_fixture("square.ps")

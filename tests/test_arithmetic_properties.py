@@ -5,7 +5,9 @@ construct their results without the public constructor's input checks.
 Each result here is rebuilt through ``Polynomial(nvars, terms)`` and must
 come back with the same terms, the same order and the same coefficient bits
 (so a negative zero part, which the checked path normalizes, would show),
-with int exponents and Python ``complex`` coefficients.
+with int exponents and Python ``complex`` coefficients. Every result, and
+every checked construction from unsorted input, holds its terms in graded
+lexicographic order.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydeflate.polysys import DROP_TOL, Polynomial, PolyMatrix
+
+from conftest import is_graded
 
 checked = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -36,10 +40,11 @@ def pairs(draw):
 
 
 def bits(p):
-    return [(exps, c.real.hex(), c.imag.hex()) for exps, c in p._ordered]
+    return [(exps, c.real.hex(), c.imag.hex()) for exps, c in p.terms.items()]
 
 
 def assert_as_if_checked(result):
+    assert is_graded(result.terms)
     rebuilt = Polynomial(result.nvars, result.terms)
     assert rebuilt.terms == result.terms
     assert bits(rebuilt) == bits(result)
@@ -105,6 +110,21 @@ def test_right_multiply(pair, data):
     for row in product.entries:
         for entry in row:
             assert_as_if_checked(entry)
+
+
+@checked
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), COEFFICIENTS),
+                       max_size=8)))
+def test_checked_constructor_orders_and_sums(items):
+    # unsorted input with repeated monomials: summed first, then cleaned
+    nvars = len(items[0][0]) if items else 1
+    p = Polynomial(nvars, items)
+    assert is_graded(p.terms)
+    summed = {}
+    for exps, c in items:
+        summed[exps] = summed.get(exps, 0j) + c
+    assert p.terms == {e: c for e, c in summed.items() if abs(c) >= DROP_TOL}
 
 
 def test_checked_constructor_keeps_its_checks():

@@ -7,6 +7,7 @@ checks exit codes, report contents, and the error channel.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from polydeflate import cli, deflate
@@ -193,6 +194,23 @@ def test_malformed_point_file_exits_one(tmp_path, capsys):
                    "--point", bad_point, "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "[re, im]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--system", "--point"])
+def test_files_that_are_not_utf8_exit_one(tmp_path, capsys, flag):
+    files = {"--system": tmp_path / "square.ps", "--point": tmp_path / "p.json"}
+    files["--system"].write_bytes((FIXTURES / "square.ps").read_bytes())
+    files["--point"].write_bytes(b"[[0.1, 0]]\n")
+    bad = files[flag]
+    offset = len(bad.read_bytes())
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    out = tmp_path / "r.json"
+    rc = cli.main(["solve", "--system", str(files["--system"]),
+                   "--point", str(files["--point"]), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 text (byte 0xff at offset {offset})\n")
+    assert not out.exists()
 
 
 def test_wrong_point_length_exits_one(tmp_path, capsys):
@@ -439,4 +457,19 @@ def test_overflowing_iterate_is_diverged_exit_two(tmp_path, capsys, flag):
     assert first["residual_initial"] is None and first["residual_final"] is None
     assert first["inverse_condition_final"] is None
     assert first["solution"] == [[1e200, 0]]
+    assert capsys.readouterr().err == ""
+
+
+def test_lapack_failure_is_diverged_exit_two(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    out = tmp_path / "r.json"
+    rc = cli.main(["solve", "--system", fixture("square.ps"),
+                   "--point", point_file(tmp_path, "p.json", [0.1]), "--out", str(out)])
+    assert rc == 2
+    report = _strict_json(out.read_text())
+    assert report["status"] == "diverged"
+    assert report["solution"] == [[0.1, 0]]
+    assert report["inverse_condition_final"] is None
     assert capsys.readouterr().err == ""

@@ -8,7 +8,7 @@ from polydeflate.deflate import DeflatedSystem, RegularPointError
 from polydeflate.linalg import numerical_rank, svd
 from polydeflate.polysys import Polynomial, PolySystem, parse_system
 
-from conftest import load_fixture
+from conftest import is_graded, load_fixture
 from reference import compose_system_linear, dual_nullity_at_order
 
 
@@ -250,6 +250,19 @@ def test_literature_multiplicities(name, point, expected):
     system = load_fixture(name)
     assert oracle.multiplicity(system, point) == expected
     assert recursion_matches_macaulay(system, point) == expected
+
+
+@pytest.mark.parametrize("name", ["square", "axis_quartic", "cubic_trio", "cross_cubes",
+                                  "bench9", "cbms2", "dz1", "dz2", "kss5"])
+def test_recentered_terms_keep_the_graded_order(name):
+    system = load_fixture(f"{name}.ps")
+    root = np.ones(system.nvars) if name == "kss5" else np.zeros(system.nvars)
+    rng = np.random.default_rng(5)
+    shifted = root + 0.25 * (rng.normal(size=system.nvars) + 1j * rng.normal(size=system.nvars))
+    for point in (root, shifted):
+        for terms in oracle._recentered(system, point):
+            assert terms and all(degree == sum(gamma) for degree, gamma, _ in terms)
+            assert is_graded(gamma for _, gamma, _ in terms)
 
 
 def test_literature_multiplicity_dz1():

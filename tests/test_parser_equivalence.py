@@ -8,9 +8,9 @@ with ``Polynomial`` arithmetic. ``parse_system`` must agree with it:
 * where the reference raises a ``ParseError``, the same text, line and
   column;
 * where it returns finite coefficients, the same coefficient bits, Python
-  ``complex`` coefficients, the same term order and the same ``_ordered``;
-  unless a literal overflows, which is now an error even where its term
-  vanishes (``0*1e400``);
+  ``complex`` coefficients and the same term order; unless a literal
+  overflows, which is now an error even where its term vanishes
+  (``0*1e400``);
 * where it returns a coefficient that is not finite, or fails with an
   ``OverflowError``, a ``ParseError`` saying a value is out of range.
 """
@@ -28,7 +28,7 @@ from polydeflate import deflate
 from polydeflate.polysys import (_IDENT_RE, ParseError, Polynomial, PolySystem,
                                  format_system, parse_system)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, is_graded
 
 # ---------------------------------------------------------------------------
 # the reference parser
@@ -234,9 +234,7 @@ def _bits(c):
 
 def _signature(system):
     return system.var_names, [
-        (p.nvars,
-         [(exps, _bits(c)) for exps, c in p.terms.items()],
-         [(exps, _bits(c)) for exps, c in p._ordered])
+        (p.nvars, [(exps, _bits(c)) for exps, c in p.terms.items()])
         for p in system.equations]
 
 
@@ -271,6 +269,7 @@ def assert_same_parse(text):
         assert math.isinf(float(literal.group(1))), (text, str(result))
         return
     assert _signature(result) == _signature(expected), text
+    assert all(is_graded(p.terms) for p in result.equations), text
 
 
 # ---------------------------------------------------------------------------

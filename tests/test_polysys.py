@@ -136,6 +136,21 @@ def test_eval_poly_matrix_zero():
     assert np.allclose(m.evaluate([3.0, 4.0]), np.zeros((2, 2)))
 
 
+def test_constant_jacobian_is_one_read_only_array():
+    system = parse_system("2\nx y\nx + 2*y;\n3*x - y;\n")
+    jac = system.jacobian_at([0.5, 0.5])
+    with pytest.raises(ValueError, match="read-only"):
+        jac[0, 0] = -7
+    for later in (system.jacobian_at([2.0, -1.0]), system.value_and_jacobian([0.0, 1.0])[1]):
+        assert later.tolist() == [[1, 2], [3, -1]]
+
+
+def test_constant_matrix_checks_the_point():
+    system = parse_system("2\nx y\nx + 2*y;\n3*x - y;\n")
+    with pytest.raises(ValueError, match="point has 4 coordinates, expected 2"):
+        system.jacobian_matrix.evaluate([0.5] * 4)
+
+
 def test_roundtrip_identity_on_fixtures(square, axis_quartic, cubic_trio, cross_cubes):
     for system in (square, axis_quartic, cubic_trio, cross_cubes):
         assert parse_system(format_system(system)) == system
@@ -197,7 +212,7 @@ def test_evaluation_is_linear_in_the_system():
 
 def test_canonical_term_order_is_graded_lex():
     p = Polynomial(2, {(3, 0): 1.0, (1, 2): 2.0, (0, 0): 3.0, (0, 1): 4.0})
-    ordered = [exps for exps, _ in p._ordered]
+    ordered = list(p.terms)
     assert ordered == [(0, 0), (0, 1), (1, 2), (3, 0)]
 
 
