@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 on success, 1 for unusable input (bad flags, files that
 cannot be read or are not UTF-8 text, parse errors), 2 when the computation did not reach its goal
 (no convergence, divergence, deflation requested at a regular point
-or at one where the Jacobian overflows),
+or at one where the Jacobian overflows, an expanded system for
+``--emit-deflated`` or ``deflate`` above ``deflate.EXPAND_TERM_CAP`` terms),
 3 when the multiplicity search did not stabilize.
 
 Reports are written with a fixed key order and 17 significant digits,
@@ -352,6 +353,9 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except deflate.ExpansionTooLargeError as err:   # from --emit-deflated or deflate
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -62,6 +62,7 @@ from .polysys import (Polynomial, PolyMatrix, PolySystem, check_point,
 
 DEFAULT_SEED = 0x5EED
 STAGE_CAP = 10
+EXPAND_TERM_CAP = 1_000_000   # terms ``expand`` builds; one in 150 variables takes 1.3 kB
 _UNIT_TOL = 1e-15
 
 
@@ -71,6 +72,10 @@ class RegularPointError(ValueError):
 
 class NonFiniteJacobianError(ValueError):
     """Deflation was requested at a point where the Jacobian is not finite."""
+
+
+class ExpansionTooLargeError(ValueError):
+    """The expanded system could exceed ``EXPAND_TERM_CAP`` terms."""
 
 
 @dataclass(frozen=True)
@@ -267,11 +272,19 @@ class DeflatedSystem:
     # -- naive route (export and cross-checks only) --------------------------
 
     def expand(self) -> PolySystem:
-        """Fully expanded polynomial system in base plus multiplier variables."""
+        """Fully expanded polynomial system in base plus multiplier variables.
+
+        Refuses a stage that could exceed ``EXPAND_TERM_CAP`` terms before building
+        it: a term of degree d in n variables has at most min(n, d) partials."""
         equations = list(self.base.equations)
         names = self.var_names
-        for stage in self.stages:
+        for k, stage in enumerate(self.stages, start=1):
             n_prev = stage.nvars_prev
+            bound = stage.rank + 2 + sum(len(p.terms) * (
+                1 + (stage.rank + 1) * min(n_prev, p.degree)) for p in equations)
+            if bound > EXPAND_TERM_CAP:
+                raise ExpansionTooLargeError(f"expanding stage {k} could give {bound} terms, "
+                                             f"above the cap of {EXPAND_TERM_CAP}")
             n_out = stage.nvars_out
             prefix = list(range(n_prev))
             lifted = [p.embed(n_out, prefix) for p in equations]

@@ -157,8 +157,10 @@ def _nullities(graded, nvars: int):
         annihilation = coeffs @ lift
         norms = np.linalg.norm(annihilation, axis=1, keepdims=True)
         matrix = np.zeros((nrows, ncols), dtype=complex)
-        matrix[np.arange(ncomm)[:, None], block + nu * j[:, None]] = basis[a]
-        matrix[np.arange(ncomm)[:, None], block + nu * l[:, None]] = -basis[b]
+        commutation = matrix[:ncomm, 1:].reshape(ncomm, nvars, nu)   # a view: y_k is [:, k]
+        rows = np.arange(ncomm)
+        commutation[rows, j] = basis[a]
+        commutation[rows, l] = -basis[b]
         matrix[ncomm:] = annihilation / np.where(norms > 0, norms, 1.0)
         if nrows > ncols >= linalg.QR_MIN_COLS:   # below that one SVD call is cheaper
             matrix = np.linalg.qr(matrix, mode="r")

@@ -32,13 +32,16 @@ A ``PolyMatrix`` whose entries are all constant is evaluated when it is
 built; every evaluation checks the point and returns that one read-only
 array.
 
-The parser works on plain term dictionaries. It multiplies with the same
-``_mul_terms`` and ``_pow_terms`` as ``*`` and ``**`` and cleans where they
-clean, so a parsed coefficient has the bits that polynomial arithmetic on
-the same expression gives, and it builds one ``Polynomial`` per equation.
-Syntax errors are reported first; after them, a literal that overflows to
-infinity (``1e400``) or a coefficient that is not finite (``(1e200*x)^2``)
-is a ``ParseError`` too.
+The parser reads the equations through compiled regexes: one match takes a
+run of simple factors (numbers, complex literals such as ``(1.5-0.5i)`` and
+variables, each with an optional exponent, joined by ``*``), and it recurses
+only at other parentheses. It works on term dictionaries and cleans where
+``*``, ``**`` and ``+`` on polynomials clean (products and powers when
+formed, sums when closed), so a parsed coefficient has the bits polynomial
+arithmetic on the same expression gives. Its errors are those of reading
+every token first: a character that starts no token, then the first syntax
+error, then a literal that overflows (``1e400``) or a coefficient that is
+not finite (``(1e200*x)^2``).
 
 System file format (UTF-8 text)::
 
@@ -57,9 +60,12 @@ imaginary unit unless declared as variable names.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import accumulate
 from operator import add
 
 import numpy as np
@@ -203,20 +209,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, value: complex) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        if not 0 <= index < nvars:
-            raise IndexError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1.0})
 
     # -- basic queries -----------------------------------------------------
 
@@ -537,177 +531,210 @@ class PolySystem:
 # parsing and printing
 # ---------------------------------------------------------------------------
 
-# one token per match: leading whitespace, then one group; a number directly
-# followed by a lone i or j (no word character after it) is imaginary
-_TOKEN_RE = re.compile(r"""\s*(?:
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+
+# one token per match, read only to report an error; a number directly
+# followed by a lone i or j (no word character after it) carries that unit
+_TOKEN_RE = re.compile(rf"""\s*(?:
       (?P<op>[-+*^();])
-    | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?P<unit>[ij](?!\w))?
+    | (?P<num>{_NUM})(?P<unit>[ij](?!\w))?
     | (?P<name>[^\W\d]\w*)
     | (?P<other>\S))""", re.VERBOSE)
 
+_SPACE_RE = re.compile(r"\s*")
 
 _OUT_OF_RANGE = "polynomial has a coefficient out of range"
 
 
-def _tokenize(lines, var_names):
-    """(kind, text, line, column) tokens of the (line number, text) pairs.
+@functools.lru_cache(maxsize=64)
+def _factor_regexes(names):
+    """The (run, factor, power) regexes of a system in the variables ``names``.
 
-    An operator is its own kind; the others are ``num``, ``imag`` (the text
-    is the number before the unit), ``name``, and a closing ``end`` token at
-    the place of the last token.
-    """
-    declared = set(var_names)
-    tokens = []
-    append = tokens.append
-    for lineno, text in lines:
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            value = m[kind]
-            col = m.start(kind) + 1
-            if kind == "op":
-                append((value, value, lineno, col))
-            elif kind == "num":
-                append(("num", value, lineno, col))
-            elif kind == "name":
-                # \w also takes digits such as superscripts; a name starts with a letter
-                if not (value[0].isalpha() or value[0] == "_"):
-                    raise ParseError(f"unexpected character {value[0]!r}", lineno, col)
-                append(("name", value, lineno, col))
-            elif kind == "unit":
-                number = m.start("num") + 1
-                if value in declared:
-                    append(("num", m["num"], lineno, number))
-                    append(("name", value, lineno, col))
-                else:
-                    append(("imag", m["num"], lineno, number))
-            else:
-                raise ParseError(f"unexpected character {value!r}", lineno, col)
-    _, _, line, col = tokens[-1] if tokens else (None, None, 1, 1)
-    append(("end", "", line, col))
-    return tokens
+    A factor's groups: number, unit (an i or j not in ``names``), the real
+    sign and part and imaginary sign and part of a literal like (1.5-0.5i),
+    name, whole exponent. A run's: its text, its first factor, the text of
+    the others. ``power`` reads an exponent after ``)``. Each piece is greedy
+    and nothing after it is required, so none gives back part of a token."""
+    units = "".join(u for u in "ij" if u not in names)
+    unit = f"[{units}]" if units else "(?!)"
+    exponent = rf"\s*\^\s*(\d+)(?![\d.]|[eE][+-]?\d|{unit}(?!\w))"
+    factor = rf"""(?: ({_NUM})({unit}(?!\w))?
+        | \(\s*([-+]?)\s*({_NUM})\s*([-+])\s*({_NUM}){unit}(?!\w)\s*\)
+        | ([^\W\d]\w*) )(?:{exponent})?"""
+    later = re.sub(r"(?<!\\)\((?!\?)", "(?:", factor)   # the same, capturing nothing
+    return (re.compile(rf"\s*({factor}((?:\s*\*\s*{later})*))\s*", re.VERBOSE),
+            re.compile(factor, re.VERBOSE), re.compile(rf"(?:{exponent})?\s*"))
+
+
+@functools.lru_cache(maxsize=4096)
+def _run_factors(names, text):
+    """The factors in ``text``, part of a run, which recurs from term to term:
+    the summed exponents of the variables ``names`` and the other factors."""
+    exps, others = None, []
+    for f in _factor_regexes(names)[1].findall(text):
+        if f[6] in names:
+            exps = exps or [0] * len(names)
+            exps[names.index(f[6])] += int(f[7] or 1)
+        else:
+            others.append(f)
+    return exps and tuple(exps), tuple(others)
 
 
 class _Parser:
-    """Recursive descent over ``_tokenize`` output, building term dicts.
+    """Recursive descent over the equations, one regex match per run of
+    simple factors; it recurses at a ``(`` that opens no complex literal.
+    Results are cleaned where polynomial arithmetic cleans them (see the
+    module docstring). Offsets index ``src``: the lines joined by newlines
+    and closed by a NUL that no rule takes."""
 
-    Each result is cleaned (``_clean``) where polynomial arithmetic would
-    clean it: every product and power when it is formed, every sum when it
-    is closed, so the coefficients come out as ``+``, ``*`` and ``**`` on
-    polynomials would give them. A power of a variable is the single term
-    1, and multiplying by it leaves a clean coefficient as it is; a product
-    therefore sums the exponents of its variable factors and adds them to
-    its terms once at the end.
-    """
-
-    def __init__(self, tokens, var_names):
-        self.tokens = tokens
-        self.pos = 0
-        self.nvars = len(var_names)
-        self.index = {name: k for k, name in enumerate(var_names)}
+    def __init__(self, lines, var_names):
+        self.lines = [lineno for lineno, _ in lines]
+        self.starts = list(accumulate((len(body) + 1 for _, body in lines[:-1]), initial=0))
+        self.src = "\n".join(body for _, body in lines) + "\0"
+        self.end, self.names, self.nvars = len(self.src) - 1, tuple(var_names), len(var_names)
         self.origin = (0,) * self.nvars
-        # (message, line, column) of the first literal or coefficient that
-        # is not finite; reported once the whole text has parsed
-        self.overflow = None
+        run, self.factor, power = _factor_regexes(self.names)
+        self.run, self.power = run.match, power.match
+        self.overflow = None  # (message, offset) of the first value not finite
 
-    def fail(self, message):
-        _, _, line, col = self.tokens[self.pos]
-        raise ParseError(message, line, col)
+    def error(self, message, at) -> ParseError:
+        """The error of a parser that reads every token first: a character
+        that starts no token, else ``message`` at ``at`` (offset or pair)."""
+        last = 0
+        for m in _TOKEN_RE.finditer(self.src, 0, self.end):
+            kind = m.lastgroup
+            first = m[kind][0]
+            if kind == "other" or kind == "name" and not (first.isalpha() or first == "_"):
+                return ParseError(f"unexpected character {first!r}", *self.location(m.start(kind)))
+            # a number and its unit are one token unless the unit is declared
+            last = m.start("num" if kind == "unit" and first not in self.names else kind)
+        if not isinstance(at, tuple):
+            at = self.location(at if at < self.end else last)
+        return ParseError(message, *at)
 
-    def polynomial(self) -> Polynomial:
-        _, _, line, col = self.tokens[self.pos]
-        try:
-            terms = self.sum()
-            if self.tokens[self.pos][0] != ";":
-                self.fail("expected ';' after polynomial")
-            poly = Polynomial._trusted(self.nvars, terms)
-        except OverflowError:  # abs() of a coefficient beyond the float range
-            raise ParseError(_OUT_OF_RANGE, line, col) from None
-        self.pos += 1
-        if self.overflow is None and not all(map(cmath.isfinite, poly.terms.values())):
-            self.overflow = (_OUT_OF_RANGE, line, col)
-        return poly
+    def location(self, offset):
+        k = bisect_right(self.starts, offset) - 1
+        return self.lines[k], offset - self.starts[k] + 1
 
-    def sum(self) -> dict:
-        """Terms of a signed sum of products, before ``_clean``."""
-        tokens = self.tokens
-        kind = tokens[self.pos][0]
-        sign = 1.0
-        if kind == "+" or kind == "-":
-            sign = -1.0 if kind == "-" else 1.0
-            self.pos += 1
-        # a clean product times 1.0 or -1.0 needs no cleaning: its moduli
-        # stay, and a negative zero part is lost in the sum or its cleaning
-        acc = {exps: c * sign for exps, c in self.product().items()}
-        kind = tokens[self.pos][0]
-        get = acc.get
-        while kind == "+" or kind == "-":
-            self.pos += 1
-            negate = kind == "-"
-            for exps, c in self.product().items():
-                acc[exps] = get(exps, 0j) + (-c if negate else c)
-            kind = tokens[self.pos][0]
-        return acc
+    def polynomials(self, count, last):
+        """``count`` polynomials closed by ``;``; ``last`` is the last line."""
+        skip, equations, pos = _SPACE_RE.match, [], 0
+        for _ in range(count):
+            pos = skip(self.src, pos).end()
+            if pos >= self.end:
+                raise self.error(f"expected {count} polynomials, found {len(equations)}",
+                                 (last[0], len(last[1])))
+            try:
+                terms, end = self.sum(pos)
+                if self.src[end] != ";":
+                    raise self.error("expected ';' after polynomial", end)
+                poly = Polynomial._trusted(self.nvars, terms)
+            except OverflowError:  # abs() of a coefficient beyond the float range
+                raise self.error(_OUT_OF_RANGE, pos) from None
+            if self.overflow is None and not all(map(cmath.isfinite, poly.terms.values())):
+                self.overflow = (_OUT_OF_RANGE, pos)
+            equations.append(poly)
+            pos = end + 1
+        if skip(self.src, pos).end() < self.end:
+            raise self.error("trailing input after final polynomial", skip(self.src, pos).end())
+        if self.overflow is not None:
+            raise self.error(*self.overflow)
+        return equations
 
-    def product(self) -> dict:
-        tokens, index = self.tokens, self.index
+    def sum(self, pos):
+        """Terms of a signed sum of products, before ``_clean``, and the
+        offset after it; a zero part's sign is lost once the sum is cleaned."""
+        src, acc = self.src, {}
+        get, pos = acc.get, _SPACE_RE.match(src, pos).end()
+        op = src[pos]
+        while True:  # each product starts past its sign, if it has one
+            terms, pos = self.product(pos + (op == "+" or op == "-"))
+            for exps, c in terms.items():
+                acc[exps] = get(exps, 0j) + (-c if op == "-" else c)
+            op = src[pos]
+            if op != "+" and op != "-":
+                return acc, pos
+
+    def product(self, pos):
+        """Terms of the product at ``pos`` and the offset after it."""
+        src, nvars, origin, inf = self.src, self.nvars, self.origin, math.inf
         acc = None  # product of the factors that are not powers of variables
         exps = None  # summed exponents of the powers of variables
         while True:
-            kind, value, _, _ = tokens[self.pos]
-            if kind == "name" and value in index:
-                self.pos += 1
-                e = self.exponent() if tokens[self.pos][0] == "^" else 1
-                if exps is None:
-                    exps = [0] * self.nvars
-                exps[index[value]] += e
+            run = self.run(src, pos)
+            if run:
+                groups = run.groups("")
+                if groups[7]:  # a name first: the run is looked up by its text
+                    found, factors = _run_factors(self.names, groups[0])
+                else:  # a literal first, and the others looked up by their text
+                    found, factors = _run_factors(self.names, groups[9])
+                    factors = (groups[1:9], *factors)
+                if found:
+                    exps = tuple(map(add, exps, found)) if exps else found
+                for factor in factors:
+                    num, unit, re_sign, re_num, im_sign, im_num, name, power = factor
+                    if name:  # i or j: a declared variable is among the exponents found
+                        if name != "i" and name != "j":
+                            raise self.error(f"unknown variable {name!r}",
+                                             self.offset(run, factor, 6))
+                        value = {origin: 1j}
+                    elif num:  # no literal is negative or NaN; one below DROP_TOL is dropped
+                        v = float(num)
+                        if v == inf:
+                            self.infinite(run, factor, 0)
+                        value = {origin: complex(0.0, v) if unit else complex(v)}
+                        value = {} if v < DROP_TOL else value
+                    else:  # a complex literal, summed and cleaned as a sum is
+                        real, imag = float(re_num), float(im_num)
+                        if real == inf or imag == inf:
+                            self.infinite(run, factor, 3 if real == inf else 5)
+                        c = complex(0.0 if real < DROP_TOL else -real if re_sign == "-" else real,
+                                    0.0 if imag < DROP_TOL else -imag if im_sign == "-" else imag)
+                        value = {} if abs(c) < DROP_TOL else {origin: c}
+                    if power:
+                        value = _pow_terms(value, int(power), nvars)
+                    acc = value if acc is None else _clean(_mul_terms(acc, value).items())
+                pos = run.end()
             else:
-                factor = self.atom()
-                if tokens[self.pos][0] == "^":
-                    factor = _pow_terms(factor, self.exponent(), self.nvars)
-                acc = factor if acc is None else _clean(_mul_terms(acc, factor).items())
-            if tokens[self.pos][0] != "*":
+                pos = _SPACE_RE.match(src, pos).end()
+                if src[pos] != "(":
+                    raise self.error("unexpected end of input" if pos >= self.end
+                                     else f"unexpected token {src[pos]!r}", pos)
+                inner, pos = self.sum(pos + 1)
+                if src[pos] != ")":
+                    raise self.error("expected ')'", pos)
+                after = self.power(src, pos + 1)
+                value, power, pos = _clean(inner.items()), after[1], after.end()
+                if power:
+                    value = _pow_terms(value, int(power), nvars)
+                acc = value if acc is None else _clean(_mul_terms(acc, value).items())
+            if src[pos] != "*":
                 break
-            self.pos += 1
+            pos += 1
+        # a '^' is valid only after an exponent, which ends the product
+        if src[pos] == "^" and not (
+                self.factor.findall(src, run.start(), run.end())[-1][7] if run else power):
+            raise self.error("exponent must be a nonnegative integer",
+                             _SPACE_RE.match(src, pos + 1).end())
         if exps is None:
-            return acc
-        exps = tuple(exps)
+            return acc, pos
         if acc is None:
-            return {exps: 1 + 0j}
-        return {tuple(map(add, key, exps)): c for key, c in acc.items()}
+            return {exps: 1 + 0j}, pos
+        if len(acc) == 1 and origin in acc:  # one coefficient, as most terms have
+            return {exps: acc[origin]}, pos
+        return {tuple(map(add, key, exps)): c for key, c in acc.items()}, pos
 
-    def exponent(self) -> int:
-        """The exponent after a '^'."""
-        self.pos += 1
-        kind, value, _, _ = self.tokens[self.pos]
-        if kind != "num" or not value.isdigit():
-            self.fail("exponent must be a nonnegative integer")
-        self.pos += 1
-        return int(value)
+    def infinite(self, run, factor, group):
+        """Note literal ``group`` of ``factor`` in ``run`` as out of range."""
+        if self.overflow is None:
+            self.overflow = (f"number {factor[group]} is out of range",
+                             self.offset(run, factor, group))
 
-    def atom(self) -> dict:
-        """Clean terms of a number, an undeclared i or j, or a parenthesized sum."""
-        kind, value, line, col = self.tokens[self.pos]
-        if kind == "num" or kind == "imag":
-            self.pos += 1
-            v = float(value)
-            if math.isinf(v) and self.overflow is None:  # no literal is negative or NaN
-                self.overflow = (f"number {value} is out of range", line, col)
-            return _clean([(self.origin, complex(v) if kind == "num" else complex(0.0, v))])
-        if kind == "name":
-            if value in ("i", "j"):
-                self.pos += 1
-                return {self.origin: 0j + 1j}
-            raise ParseError(f"unknown variable {value!r}", line, col)
-        if kind == "(":
-            self.pos += 1
-            inner = _clean(self.sum().items())
-            if self.tokens[self.pos][0] != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return inner
-        if kind == "end":
-            self.fail("unexpected end of input")
-        self.fail(f"unexpected token {value!r}")
+    def offset(self, run, factor, group):
+        """Where ``group`` starts in the first factor of ``run`` like ``factor``."""
+        for m in self.factor.finditer(self.src, run.start(), run.end()):
+            if m.groups("") == factor:
+                return m.start(group + 1)
 
 
 def parse_system(text: str) -> PolySystem:
@@ -737,23 +764,7 @@ def parse_system(text: str) -> PolySystem:
                              names_text.find(name) + 1)
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names", names_line, 1)
-    tokens = _tokenize(logical[2:], names)
-    parser = _Parser(tokens, names)
-    equations = []
-    for _ in range(count):
-        if tokens[parser.pos][0] == "end":
-            last = logical[-1]
-            raise ParseError(
-                f"expected {count} polynomials, found {len(equations)}",
-                last[0], len(last[1]),
-            )
-        equations.append(parser.polynomial())
-    kind, _, line, col = tokens[parser.pos]
-    if kind != "end":
-        raise ParseError("trailing input after final polynomial", line, col)
-    if parser.overflow is not None:
-        raise ParseError(*parser.overflow)
-    return PolySystem(equations, names)
+    return PolySystem(_Parser(logical[2:], names).polynomials(count, logical[-1]), names)
 
 
 def format_system(system: PolySystem) -> str:

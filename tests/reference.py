@@ -1,5 +1,6 @@
 """Reference constructions that only the tests use.
 
+* ``zero`` and ``variable``: the zero polynomial and the polynomial x_k.
 * ``compose_linear`` and ``compose_system_linear``: substitute a linear
   change of variables into a polynomial or a system, to plant a known
   root under a unitary change of coordinates.
@@ -34,6 +35,18 @@ from polydeflate.newton import _TREND_FALL
 from polydeflate.polysys import Polynomial, PolySystem
 
 
+def zero(nvars: int) -> Polynomial:
+    return Polynomial(nvars)
+
+
+def variable(nvars: int, index: int) -> Polynomial:
+    if not 0 <= index < nvars:
+        raise IndexError(f"variable index {index} out of range for {nvars} variables")
+    exps = [0] * nvars
+    exps[index] = 1
+    return Polynomial(nvars, {tuple(exps): 1.0})
+
+
 def compose_linear(poly: Polynomial, matrix) -> Polynomial:
     """Substitute x_j = sum_l matrix[j, l] * y_l (matrix is nvars x m)."""
     matrix = np.asarray(matrix, dtype=complex)
@@ -45,7 +58,7 @@ def compose_linear(poly: Polynomial, matrix) -> Polynomial:
                        for l in range(m) if matrix[j, l] != 0})
         for j in range(poly.nvars)
     ]
-    total = Polynomial.zero(m)
+    total = zero(m)
     for exps, coeff in poly.terms.items():
         term = Polynomial.constant(m, coeff)
         for j, e in enumerate(exps):
@@ -90,7 +103,7 @@ def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySy
     direction = kernel_vector(decomp, rank)
     appended = []
     for poly in system.equations:
-        acc = Polynomial.zero(system.nvars)
+        acc = zero(system.nvars)
         for j in range(system.nvars):
             if direction[j] != 0:
                 acc = acc + poly.differentiate(j) * complex(direction[j])

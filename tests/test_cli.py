@@ -473,3 +473,34 @@ def test_lapack_failure_is_diverged_exit_two(tmp_path, capsys, monkeypatch):
     assert report["solution"] == [[0.1, 0]]
     assert report["inverse_condition_final"] is None
     assert capsys.readouterr().err == ""
+
+
+def test_emitting_an_oversized_deflated_system_exits_two(tmp_path, capsys):
+    # DZ2 from 1e-3 off its root ends with six stages and 152 variables;
+    # expanding them could give millions of terms, so --emit-deflated stops
+    # at the cap with one error line instead of exhausting memory
+    rng = np.random.default_rng(2)
+    u = rng.normal(size=3) + 1j * rng.normal(size=3)
+    start = write_json(tmp_path / "p.json",
+                       [[z.real, z.imag] for z in 1e-3 * u / np.linalg.norm(u)])
+    emitted = tmp_path / "deflated.ps"
+    rc = cli.main(["solve", "--system", fixture("dz2.ps"), "--point", start,
+                   "--max-deflations", "6", "--out", str(tmp_path / "r.json"),
+                   "--emit-deflated", str(emitted)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expanding stage ") and err.count("\n") == 1
+    assert f"above the cap of {deflate.EXPAND_TERM_CAP}" in err
+    assert not emitted.exists()
+
+
+def test_deflate_above_the_term_cap_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(deflate, "EXPAND_TERM_CAP", 3)
+    start = point_file(tmp_path, "p.json", [1e-3])
+    out = tmp_path / "deflated.ps"
+    rc = cli.main(["deflate", "--system", fixture("square.ps"), "--point", start,
+                   "--rank-tol", "1e-2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: expanding stage 1 could give 4 terms, above the cap of 3\n"
+    assert not out.exists()

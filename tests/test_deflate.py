@@ -275,6 +275,19 @@ def test_expand_names_multiplier_variables():
     assert current.expand().var_names == ("x1", "x2", "l_1_1", "l_2_1", "l_2_2")
 
 
+@pytest.mark.parametrize("name", ["square", "axis_quartic", "cubic_trio", "cross_cubes",
+                                  "bench9"])
+def test_expand_refuses_what_could_exceed_the_term_cap(name, monkeypatch):
+    # the bound checked before each stage is an upper bound: a cap one
+    # below the size of the expanded system refuses it, and the default
+    # cap builds it
+    current, _ = chain_at_origin(load_fixture(f"{name}.ps"), max_stages=deflate.STAGE_CAP)
+    terms = sum(len(p.terms) for p in current.expand().equations)
+    monkeypatch.setattr(deflate, "EXPAND_TERM_CAP", terms - 1)
+    with pytest.raises(deflate.ExpansionTooLargeError, match=f"above the cap of {terms - 1}$"):
+        current.expand()
+
+
 def test_value_and_jacobian_equals_single_outputs(square):
     extended, _ = deflate.deflate_once(square, [1e-3], rank_tol=1e-2, rng_seed=11)
     deep, _ = chain_at_origin(load_fixture("cubic_trio.ps"), max_stages=2)

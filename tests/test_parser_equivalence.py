@@ -29,6 +29,7 @@ from polydeflate.polysys import (_IDENT_RE, ParseError, Polynomial, PolySystem,
                                  format_system, parse_system)
 
 from conftest import FIXTURES, is_graded
+from reference import variable
 
 # ---------------------------------------------------------------------------
 # the reference parser
@@ -87,8 +88,7 @@ class _PolyParser:
         self.var_names = list(var_names)
         self.index = {name: k for k, name in enumerate(var_names)}
         self.nvars = len(var_names)
-        self.variables = [Polynomial.variable(self.nvars, k)
-                          for k in range(self.nvars)]
+        self.variables = [variable(self.nvars, k) for k in range(self.nvars)]
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -349,24 +349,45 @@ def test_parser_matches_the_reference(text):
 
 
 def test_parser_matches_the_reference_on_fixtures_and_exports():
+    # the first two stages of each fixture draw from rng, later ones from
+    # deeper, so that the texts of the first two stay the same as more
+    # stages are compared
     rng = np.random.Generator(np.random.PCG64(29))
+    deeper = np.random.Generator(np.random.PCG64(30))
     texts = []
     for path in sorted(pathlib.Path(FIXTURES).glob("*.ps")):
         texts.append(path.read_text())
         current = deflate.DeflatedSystem(parse_system(texts[-1]))
         z = np.zeros(current.nvars, dtype=complex)
-        for _ in range(2):
+        # deflate at the root until it is regular, as perfbench's export does
+        while len(current.stages) < deflate.STAGE_CAP:
             try:
-                current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
+                current, multipliers = deflate.deflate_once(
+                    current, z, 1e-8, rng if len(current.stages) < 2 else deeper)
             except deflate.RegularPointError:
                 break
             z = np.concatenate([z, multipliers])
             texts.append(deflate.format_deflated(current))
             texts.append(format_system(current.expand()))
-    assert len(texts) > 10
+    systems = [reference_parse_system(text) for text in texts]
+    assert len(texts) > 10 and all(isinstance(s, PolySystem) for s in systems)
+    # axis_quartic's third stage: 16 variables, 299 terms
+    assert (16, 299) in [(s.nvars, sum(len(p.terms) for p in s.equations)) for s in systems]
     for text in texts:
-        assert isinstance(reference_parse_system(text), PolySystem)
         assert_same_parse(text)
+    # one-character deletions and replacements in the second half of the
+    # longest line of each long export: errors far from the line start
+    edits = np.random.Generator(np.random.PCG64(31))
+    for text in texts:
+        lines = text.split("\n")
+        k = max(range(len(lines)), key=lambda i: len(lines[i]))
+        if len(lines[k]) < 300:
+            continue
+        for _ in range(6):
+            at = int(edits.integers(len(lines[k]) // 2, len(lines[k])))
+            put = ["", "", *"+-*^();.i2 \u00b2@"][edits.integers(15)]
+            lines_edited = lines[:k] + [lines[k][:at] + put + lines[k][at + 1:]] + lines[k + 1:]
+            assert_same_parse("\n".join(lines_edited))
 
 
 def test_parser_matches_the_reference_on_edge_cases():
@@ -381,6 +402,20 @@ def test_parser_matches_the_reference_on_edge_cases():
                  "1\nx\n2i\u00e9;", "1\nx\n2j\u00b2;", "1\nx\n(1.5e-300 - 1e-300) + 1e-300;",
                  "1\nx\n-(1.5e-300 - 1e-300)*x - 1e-300*x;", "2\nx y\nx*y*x^2*3*x;\n(1e200*x)^2;",
                  "1\nx y\n(x + 1) * y^0 * (2-1i)^2 * x;"]:
+        assert_same_parse(text)
+
+
+def test_parser_matches_the_reference_on_runs_of_factors():
+    # a run of factors read in one match: an exponent on a later factor, a
+    # literal or an unknown name after the first factor, complex literals
+    for text in ["1\nx\n2*x^3^2;", "1\nx\n2*x^2.5;", "1\nx\nx^2 * (1-2i)^2.5;",
+                 "1\nx y\n(1-2i)*x^2*y^2^3;", "1\nx y\n3*x*y^2.5 + 1;", "1\nx y\nx*foo*y;",
+                 "1\nx y\n(1-2i)*x*1e400*y;", "1\nx y\nx*(1e400+1i)*y;", "1\ni y\n(1-2i)*y;",
+                 "1\nx y\n( 1 - 2i ) * x;", "1\nx y\n(-0-0i)*x - (0+0i);",
+                 "1\nx y\n(1e-301-1e-301i)*x + x;", "1\nx y\n(1.5e308+1.5e308i)*x*y;",
+                 "1\nx y\nx*y*(1-2i) - y*x*(2+1j)^2*x;", "1\nx\nx ^ 2 * x^\n2;",
+                 "1\nj\n(1-2i)^2*j - (1-2j);", "1\nx\n2j*x^2j;", "1\nx y\nx*y^2*(x + 1)*3*y;",
+                 "1\nx y\n-(2.5-1e-310i)*x^0*y^1 + 2.5*y;", "2\nx y\nx*y;\nx*y*z;"]:
         assert_same_parse(text)
 
 
