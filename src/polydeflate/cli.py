@@ -249,10 +249,7 @@ def cmd_solve(args) -> int:
 def cmd_deflate(args) -> int:
     system = _load_system(args.system)
     point = _load_point(args.point, system.nvars)
-    try:
-        extended, _ = deflate.deflate_once(system, point, args.rank_tol, args.seed)
-    except (deflate.RegularPointError, deflate.NonFiniteJacobianError) as err:
-        raise CliError(2, str(err))
+    extended, _ = deflate.deflate_once(system, point, args.rank_tol, args.seed)
     _write_text(args.out, deflate.format_deflated(extended))
     _say(f"wrote {args.out}: {extended.neqs} equations, "
          f"{extended.nvars} variables (stage rank {extended.stages[-1].rank})")
@@ -282,6 +279,7 @@ _OPTION_RULES = {
     "rank_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "residual_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "max_deflations": (lambda v: v >= 0, "must be nonnegative"),
+    "seed": (lambda v: v >= 0, "must be nonnegative"),
     "max_order": (lambda v: v >= 1, "must be at least 1"),
 }
 
@@ -353,7 +351,8 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except deflate.ExpansionTooLargeError as err:   # from --emit-deflated or deflate
+    except (deflate.RegularPointError, deflate.NonFiniteJacobianError,
+            deflate.ExpansionTooLargeError) as err:   # deflate, or --emit-deflated's expansion
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,12 @@ adjoined. The extended root is regular more often than not; when it is not,
 deflation is applied again, and the total number of stages stays below the
 multiplicity of the root.
 
+A ``DeflationStage`` is its two draws: its rank and variable counts are
+read from the shape of ``mix``. ``DeflatedSystem.levels`` is the one table
+of (nvars, neqs) per level. The symbolic derivatives D^alpha J_0 belong to
+the base ``PolySystem`` (``derivative_matrix``), which builds each once for
+every system on that base.
+
 Deflated systems are never expanded into polynomials on the evaluation path.
 Stage k gives F_k(y, mu) = [F_{k-1}(y); J_{k-1}(y) B mu; a . mu - 1] (B its
 ``mix``, a its ``anchor``). With G(k, [u_1..u_m]) = D^m J_k[u_1, .., u_m] and
@@ -57,8 +63,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from . import linalg, newton
-from .polysys import (Polynomial, PolyMatrix, PolySystem, check_point,
-                      format_system, _fmt_coeff)
+from .polysys import Polynomial, PolySystem, check_point, format_system, _fmt_coeff
 
 DEFAULT_SEED = 0x5EED
 STAGE_CAP = 10
@@ -80,112 +85,74 @@ class ExpansionTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class DeflationStage:
-    """Random data and sizes of one deflation step."""
+    """The random draws of one deflation step: ``mix`` is n x (r + 1) for a
+    system in n variables whose Jacobian has rank r, ``anchor`` has r + 1
+    entries. The rank and the sizes follow from the shape of ``mix``."""
 
-    rank: int
     mix: np.ndarray
     anchor: np.ndarray
-    nvars_prev: int
-    neqs_prev: int
 
     def __post_init__(self):
-        if not 0 <= self.rank < self.nvars_prev:
-            raise ValueError(
-                f"stage rank {self.rank} incompatible with {self.nvars_prev} variables"
-            )
-        if self.mix.shape != (self.nvars_prev, self.rank + 1):
-            raise ValueError(f"mix has shape {self.mix.shape}, "
-                             f"expected ({self.nvars_prev}, {self.rank + 1})")
-        if self.anchor.shape != (self.rank + 1,):
+        if self.mix.ndim != 2 or not 0 < self.mix.shape[1] <= self.mix.shape[0]:
+            raise ValueError(f"mix has shape {self.mix.shape}, expected (n, r + 1) "
+                             f"with rank 0 <= r < n")
+        if self.anchor.shape != (self.mix.shape[1],):
             raise ValueError(f"anchor has shape {self.anchor.shape}, "
-                             f"expected ({self.rank + 1},)")
+                             f"expected ({self.mix.shape[1]},)")
         for arr in (self.mix, self.anchor):
-            if np.max(np.abs(np.abs(arr) - 1.0)) > _UNIT_TOL:
+            # written so that NaN fails it too
+            if not np.max(np.abs(np.abs(arr) - 1.0)) <= _UNIT_TOL:
                 raise ValueError("mix and anchor entries must have modulus one")
 
     @property
-    def nvars_out(self) -> int:
-        return self.nvars_prev + self.rank + 1
+    def rank(self) -> int:
+        return self.mix.shape[1] - 1
 
     @property
-    def neqs_out(self) -> int:
-        return 2 * self.neqs_prev + 1
+    def nvars_prev(self) -> int:
+        return self.mix.shape[0]
 
-
-class _BaseTensors:
-    """Symbolic derivative tensors of the base Jacobian, cached by multi-index.
-
-    Orders from ``cut`` on are never asked for: J_0 has entries of degree
-    below the base degree, so D^m J_0 = 0 for every m >= that degree.
-    """
-
-    def __init__(self, base: PolySystem):
-        self.nvars = base.nvars
-        self.neqs = base.neqs
-        self.cut = max(1, max(p.degree for p in base.equations))
-        self.cache = {(): base.jacobian_matrix}
-
-    def get(self, alpha) -> PolyMatrix:
-        found = self.cache.get(alpha)
-        if found is None:
-            found = self.get(alpha[:-1]).differentiate(alpha[-1])
-            self.cache[alpha] = found
-        return found
-
-    def derivative(self, order: int, y, powers) -> np.ndarray:
-        """D^order J_0(y), shape (nvars,) * order + (neqs, nvars).
-
-        Each sorted multi-index is evaluated once and gathered into place.
-        """
-        if order == 0:
-            return self.cache[()].evaluate(y, powers)
-        alphas, index = _derivative_layout(self.nvars, order)
-        return np.array([self.get(alpha).evaluate(y, powers) for alpha in alphas])[index]
-
-    def contract(self, dirs, y, powers) -> np.ndarray:
-        """D^m J_0(y)[u_1, .., u_m] for each row of ``dirs`` (count, m, nvars), m > 0."""
-        count, order, n = dirs.shape
-        out = dirs[:, 0].dot(self.derivative(order, y, powers).reshape(n, -1))
-        for j in range(1, order):
-            out = dirs[:, j, np.newaxis] @ out.reshape(count, n, -1)
-        return out.reshape(count, self.neqs, n)
+    @property
+    def nvars_out(self) -> int:
+        return self.mix.shape[0] + self.mix.shape[1]
 
 
 class DeflatedSystem:
     """A base system plus an ordered stack of deflation stages.
 
-    Instances are immutable; ``with_stage`` returns a new system sharing the
-    base and its tensor cache. With no stages the object behaves exactly
-    like the base system, which lets the solver treat both uniformly.
+    Instances are immutable; ``with_stage`` returns a new system on the same
+    base. ``levels`` holds (nvars, neqs) of the base and of each stage's
+    output. With no stages the object behaves exactly like the base system,
+    which lets the solver treat both uniformly.
     """
 
-    def __init__(self, base: PolySystem, stages=(), _tensors=None):
+    def __init__(self, base: PolySystem, stages=()):
         self.base = base
         self.stages = tuple(stages)
-        nvars, neqs = base.nvars, base.neqs
+        levels = [(base.nvars, base.neqs)]
         for k, stage in enumerate(self.stages):
-            if stage.nvars_prev != nvars or stage.neqs_prev != neqs:
+            nvars, neqs = levels[-1]
+            if stage.nvars_prev != nvars:
                 raise ValueError(f"stage {k} does not chain onto the system below it")
-            nvars, neqs = stage.nvars_out, stage.neqs_out
-        self._nvars = nvars
-        self._neqs = neqs
-        self._tensors = _tensors if _tensors is not None else _BaseTensors(base)
+            levels.append((stage.nvars_out, 2 * neqs + 1))
+        self.levels = tuple(levels)
+        # D^m J_0 = 0 from this order on: J_0's entries have lower degree
+        self._cut = max(1, max(p.degree for p in base.equations))
 
     @property
     def nvars(self) -> int:
-        return self._nvars
+        return self.levels[-1][0]
 
     @property
     def neqs(self) -> int:
-        return self._neqs
+        return self.levels[-1][1]
 
     @property
     def coefficient_scale(self) -> float:
         return self.base.coefficient_scale
 
     def with_stage(self, stage: DeflationStage) -> "DeflatedSystem":
-        return DeflatedSystem(self.base, self.stages + (stage,),
-                              _tensors=self._tensors)
+        return DeflatedSystem(self.base, self.stages + (stage,))
 
     @property
     def var_names(self):
@@ -202,7 +169,7 @@ class DeflatedSystem:
         ``mixed`` holds each stage's B mu at ``z``; ``powers`` caches the
         powers of the base coordinates for this pass.
         """
-        groups, links = _sweep_plan(levels, self._tensors.cut)
+        groups, links = _sweep_plan(levels, self._cut)
         stages = self.stages[:levels - 1]
         # top-down: the directions of every request at a level are rows of
         # that level's pool
@@ -216,13 +183,13 @@ class DeflatedSystem:
         # order at once, then build each level's blocks for all its requests
         y = z[:self.base.nvars]
         results = np.concatenate(
-            [self._tensors.derivative(0, y, powers)[np.newaxis]]
-            + [self._tensors.contract(pool[index], y, powers) for index in groups[1:]])
+            [self.base.jacobian_matrix.evaluate(y, powers)[np.newaxis]]
+            + [_contract(self.base, pool[index], y, powers) for index in groups[1:]])
         jacobians = [results[0]]
-        for stage, (tops, mus, by_slot) in zip(stages, links):
-            n0, neq0 = stage.nvars_prev, stage.neqs_prev
+        for stage, (n0, neq0), (n1, neq1), (tops, mus, by_slot) in zip(
+                stages, self.levels, self.levels[1:], links):
             top = results[tops]
-            out = np.zeros((len(top), stage.neqs_out, stage.nvars_out), dtype=complex)
+            out = np.zeros((len(top), neq1, n1), dtype=complex)
             out[:, :neq0, :n0] = top
             mid = out[:, neq0:-1, :n0]
             lifted = results[mus]
@@ -304,6 +271,22 @@ class DeflatedSystem:
                 last[(0,) * n_prev + unit] = complex(stage.anchor[t])
             equations = lifted + mid + [Polynomial._trusted(n_out, last)]
         return PolySystem(equations, names)
+
+
+def _contract(base: PolySystem, dirs, y, powers) -> np.ndarray:
+    """D^m J_0(y)[u_1, .., u_m] for each row of ``dirs`` (count, m, nvars), m > 0.
+
+    Each sorted multi-index of D^m J_0 is evaluated once and gathered into
+    every ordering.
+    """
+    count, order, n = dirs.shape
+    alphas, index = _derivative_layout(n, order)
+    tensor = np.array([base.derivative_matrix(alpha).evaluate(y, powers)
+                       for alpha in alphas])[index]
+    out = dirs[:, 0].dot(tensor.reshape(n, -1))
+    for j in range(1, order):
+        out = dirs[:, j, np.newaxis] @ out.reshape(count, n, -1)
+    return out.reshape(count, base.neqs, n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -443,8 +426,7 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
     rng = np.random.default_rng(rng_seed)
     mix = unit_circle_matrix(rng, current.nvars, rank + 1)
     anchor = unit_circle_matrix(rng, 1, rank + 1)[0]
-    stage = DeflationStage(rank=rank, mix=mix, anchor=anchor,
-                           nvars_prev=current.nvars, neqs_prev=current.neqs)
+    stage = DeflationStage(mix, anchor)
     stacked = np.vstack([jacobian @ mix, anchor[np.newaxis, :]])
     rhs = np.zeros(current.neqs + 1, dtype=complex)
     rhs[-1] = 1.0

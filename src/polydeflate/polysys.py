@@ -4,7 +4,8 @@ A monomial is represented by a tuple of nonnegative integer exponents, one
 entry per variable. A :class:`Polynomial` maps exponent tuples to complex
 coefficients; a :class:`PolySystem` bundles equations with variable names and
 offers numeric evaluation of the system and of its Jacobian matrix, which is
-itself a :class:`PolyMatrix` of symbolic partial derivatives.
+itself a :class:`PolyMatrix` of symbolic partial derivatives; each
+derivative of that matrix is built once and kept (``derivative_matrix``).
 
 A polynomial holds one term map, ``terms``, whose iteration order is graded
 lexicographic (total degree, then exponents): evaluation sums in that
@@ -456,7 +457,7 @@ class PolyMatrix:
 class PolySystem:
     """A system of N polynomial equations in n named variables."""
 
-    __slots__ = ("equations", "var_names", "_jac", "_scale")
+    __slots__ = ("equations", "var_names", "_derivatives", "_scale")
 
     def __init__(self, equations: Sequence[Polynomial], var_names: Sequence[str]):
         eqs = tuple(equations)
@@ -475,7 +476,7 @@ class PolySystem:
                 raise ValueError("equation variable count does not match names")
         self.equations = eqs
         self.var_names = names
-        self._jac = None
+        self._derivatives = {}
         self._scale = None
 
     @property
@@ -503,12 +504,20 @@ class PolySystem:
 
     @property
     def jacobian_matrix(self) -> PolyMatrix:
-        if self._jac is None:
-            self._jac = PolyMatrix(
-                [[p.differentiate(j) for j in range(self.nvars)]
-                 for p in self.equations]
-            )
-        return self._jac
+        return self.derivative_matrix(())
+
+    def derivative_matrix(self, alpha) -> PolyMatrix:
+        """The Jacobian differentiated by each variable of the multi-index
+        ``alpha`` in turn (the Jacobian itself at ``()``), built once."""
+        found = self._derivatives.get(alpha)
+        if found is None:
+            if alpha:
+                found = self.derivative_matrix(alpha[:-1]).differentiate(alpha[-1])
+            else:
+                found = PolyMatrix([[p.differentiate(j) for j in range(self.nvars)]
+                                    for p in self.equations])
+            self._derivatives[alpha] = found
+        return found
 
     def jacobian_at(self, point: Sequence[complex]) -> np.ndarray:
         return self.jacobian_matrix.evaluate(check_point(point, self.nvars))

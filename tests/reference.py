@@ -161,14 +161,14 @@ def recursive_jacobians(system, z, levels: int, matrices=None):
                 out = out @ vec
         else:
             stage = system.stages[level - 1]
-            n0, neq0 = stage.nvars_prev, stage.neqs_prev
+            (n0, neq0), (n1, neq1) = system.levels[level - 1:level + 1]
             lower = [u[:n0] for u in vecs]
             top = grad(level - 1, lower)
             mid = grad(level - 1, [mixed[level - 1]] + lower)
             for i, u in enumerate(vecs):
                 others = lower[:i] + lower[i + 1:]
                 mid += grad(level - 1, [stage.mix @ u[n0:]] + others)
-            out = np.zeros((stage.neqs_out, stage.nvars_out), dtype=complex)
+            out = np.zeros((neq1, n1), dtype=complex)
             out[:neq0, :n0] = top
             out[neq0:-1, :n0] = mid
             out[neq0:-1, n0:] = top @ stage.mix

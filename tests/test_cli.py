@@ -363,8 +363,10 @@ def test_bench_is_not_a_subcommand(capsys):
     (["solve", "--max-deflations", "-1"], "--max-deflations must be nonnegative, got -1"),
     (["deflate", "--rank-tol", "2"], "--rank-tol must lie in (0, 1), got 2.0"),
     (["multiplicity", "--max-order", "0"], "--max-order must be at least 1, got 0"),
+    (["solve", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["deflate", "--seed", "-1"], "--seed must be nonnegative, got -1"),
 ], ids=["solve-rank-tol", "solve-residual-tol", "solve-max-deflations",
-        "deflate-rank-tol", "multiplicity-max-order"])
+        "deflate-rank-tol", "multiplicity-max-order", "solve-seed", "deflate-seed"])
 def test_out_of_range_options_are_one_line_errors(tmp_path, capsys, argv, message):
     start = point_file(tmp_path, "p.json", [0.1])
     command, *options = argv

@@ -78,36 +78,41 @@ def test_unit_circle_matrix_rejects_empty():
 
 
 def test_stage_validates_rank_range():
+    # rank 2 in 2 variables, then rank -1
     mix = deflate.unit_circle_matrix(rng_for(1), 2, 3)
     anchor = deflate.unit_circle_matrix(rng_for(2), 1, 3)[0]
     with pytest.raises(ValueError):
-        DeflationStage(rank=2, mix=mix, anchor=anchor, nvars_prev=2, neqs_prev=2)
+        DeflationStage(mix, anchor)
+    with pytest.raises(ValueError):
+        DeflationStage(np.ones((2, 0), dtype=complex), np.ones(0, dtype=complex))
 
 
 def test_stage_validates_shapes_and_modulus():
     anchor = deflate.unit_circle_matrix(rng_for(3), 1, 2)[0]
-    with pytest.raises(ValueError):
-        DeflationStage(rank=1, mix=np.ones((2, 3), dtype=complex),
-                       anchor=anchor, nvars_prev=2, neqs_prev=2)
-    with pytest.raises(ValueError):
-        DeflationStage(rank=1, mix=2.0 * np.ones((2, 2), dtype=complex),
-                       anchor=anchor, nvars_prev=2, neqs_prev=2)
+    with pytest.raises(ValueError, match="shape"):   # more columns than rows
+        DeflationStage(np.ones((1, 2), dtype=complex), anchor)
+    with pytest.raises(ValueError, match="anchor has shape"):
+        DeflationStage(np.ones((3, 3), dtype=complex), anchor)
+    with pytest.raises(ValueError, match="modulus"):
+        DeflationStage(2.0 * np.ones((2, 2), dtype=complex), anchor)
+    with pytest.raises(ValueError, match="modulus"):
+        DeflationStage(np.full((2, 2), np.nan, dtype=complex), anchor)
 
 
 def test_stage_size_recurrences():
     mix = deflate.unit_circle_matrix(rng_for(4), 5, 3)
     anchor = deflate.unit_circle_matrix(rng_for(5), 1, 3)[0]
-    stage = DeflationStage(rank=2, mix=mix, anchor=anchor,
-                           nvars_prev=5, neqs_prev=4)
+    stage = DeflationStage(mix, anchor)
+    assert (stage.rank, stage.nvars_prev) == (2, 5)
     assert stage.nvars_out == 5 + 2 + 1
-    assert stage.neqs_out == 2 * 4 + 1
+    base = parse_system("4\nv w x y z\nv;\nw;\nx;\ny;\n")
+    assert DeflatedSystem(base, (stage,)).levels == ((5, 4), (5 + 2 + 1, 2 * 4 + 1))
 
 
 def test_mismatched_stage_chain_is_rejected(cubic_trio):
     mix = deflate.unit_circle_matrix(rng_for(6), 3, 2)
     anchor = deflate.unit_circle_matrix(rng_for(7), 1, 2)[0]
-    stage = DeflationStage(rank=1, mix=mix, anchor=anchor,
-                           nvars_prev=3, neqs_prev=3)
+    stage = DeflationStage(mix, anchor)
     with pytest.raises(ValueError):
         DeflatedSystem(cubic_trio, (stage,))
 
@@ -409,9 +414,8 @@ def random_stages(system, ranks, seed=23):
     rng = rng_for(seed)
     for rank in ranks:
         current = current.with_stage(DeflationStage(
-            rank=rank, mix=deflate.unit_circle_matrix(rng, current.nvars, rank + 1),
-            anchor=deflate.unit_circle_matrix(rng, 1, rank + 1)[0],
-            nvars_prev=current.nvars, neqs_prev=current.neqs))
+            deflate.unit_circle_matrix(rng, current.nvars, rank + 1),
+            deflate.unit_circle_matrix(rng, 1, rank + 1)[0]))
     return current
 
 
@@ -436,10 +440,9 @@ def assert_matches_recursion(system, seed=61):
 
 
 def assert_no_vanishing_tensors(system):
-    """The base tensors hold no derivative of order >= the base degree."""
+    """The base caches no derivative of order >= the base degree."""
     cut = max(1, max(p.degree for p in system.base.equations))
-    tensors = system._tensors
-    assert max(len(alpha) for alpha in tensors.cache) < cut
+    assert max(len(alpha) for alpha in system.base._derivatives) < cut
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
@@ -464,7 +467,7 @@ def test_sweeps_match_recursion_near_the_origin(name, rank_tol):
 def test_request_count_is_the_recursions_call_count():
     """{x, y^7} at six stages: Bell(7) = 877 base requests, none cut."""
     current = random_stages(ladder(7), LADDER_RANKS[7])
-    groups, links = deflate._sweep_plan(len(current.stages) + 1, current._tensors.cut)
+    groups, links = deflate._sweep_plan(len(current.stages) + 1, current._cut)
     assert [len(dirs) for dirs in groups] == [1, 63, 301, 350, 140, 21, 1]
     assert len(links) == 6
 
@@ -515,7 +518,7 @@ def test_degree_cut_on_bench9_at_four_stages():
     current.value_and_jacobian(random_point(rng_for(67), current.nvars))
     assert_no_vanishing_tensors(current)
     # bench9 is quadratic: only orders 0 and 1 reach the base
-    groups, _ = deflate._sweep_plan(5, current._tensors.cut)
+    groups, _ = deflate._sweep_plan(5, current._cut)
     assert len(groups) == 2
     assert_matches_recursion(current)
 
