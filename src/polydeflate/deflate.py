@@ -15,9 +15,8 @@ multiplicity of the root.
 
 A ``DeflationStage`` is its two draws: its rank and variable counts are
 read from the shape of ``mix``. ``DeflatedSystem.levels`` is the one table
-of (nvars, neqs) per level. The symbolic derivatives D^alpha J_0 belong to
-the base ``PolySystem`` (``derivative_matrix``), which builds each once for
-every system on that base.
+of (nvars, neqs) per level. The base ``PolySystem`` evaluates D^m J_0
+(``jet``) from term lists that serve every system on that base.
 
 Deflated systems are never expanded into polynomials on the evaluation path.
 Stage k gives F_k(y, mu) = [F_{k-1}(y); J_{k-1}(y) B mu; a . mu - 1] (B its
@@ -39,7 +38,7 @@ to form. Which rows each request uses, and where its children sit, depend
 on the level count and the degree cut only, so they are planned once for
 all systems that share the two. A request of order m at or above the base
 system's total degree is dropped, since D^m J_0 = 0 there (order 0 is
-always kept). At the base, each tensor D^m J_0 is evaluated once and
+always kept). At the base, one ``jet`` gives F_0 and each tensor D^m J_0,
 contracted with all requests of order m together; the bottom-up sweep then
 builds each level's blocks for all its requests at once, adding the mid
 terms in the formula's order (B mu first, then slot 1, 2, ...). One pass
@@ -58,8 +57,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-
 import numpy as np
 
 from . import linalg, newton
@@ -137,7 +134,7 @@ class DeflatedSystem:
             levels.append((stage.nvars_out, 2 * neqs + 1))
         self.levels = tuple(levels)
         # D^m J_0 = 0 from this order on: J_0's entries have lower degree
-        self._cut = max(1, max(p.degree for p in base.equations))
+        self._cut = max(1, base.degree)
 
     @property
     def nvars(self) -> int:
@@ -163,12 +160,9 @@ class DeflatedSystem:
 
     # -- structured evaluation ----------------------------------------------
 
-    def _jacobians(self, z, levels: int, mixed, powers):
-        """Jacobians J_0 .. J_{levels-1} of the first ``levels`` systems at ``z``.
-
-        ``mixed`` holds each stage's B mu at ``z``; ``powers`` caches the
-        powers of the base coordinates for this pass.
-        """
+    def _jacobians(self, tensors, mixed, levels: int):
+        """J_0 .. J_{levels-1} of the first ``levels`` systems at a point, from the base
+        tensors J_0, D J_0, .. there (one per order of the plan) and each B mu, ``mixed``."""
         groups, links = _sweep_plan(levels, self._cut)
         stages = self.stages[:levels - 1]
         # top-down: the directions of every request at a level are rows of
@@ -181,10 +175,8 @@ class DeflatedSystem:
 
         # bottom-up: contract each base tensor with all requests of its
         # order at once, then build each level's blocks for all its requests
-        y = z[:self.base.nvars]
-        results = np.concatenate(
-            [self.base.jacobian_matrix.evaluate(y, powers)[np.newaxis]]
-            + [_contract(self.base, pool[index], y, powers) for index in groups[1:]])
+        results = np.concatenate([tensors[0][np.newaxis]] + [
+            _contract(tensor, pool[index]) for tensor, index in zip(tensors[1:], groups[1:])])
         jacobians = [results[0]]
         for stage, (n0, neq0), (n1, neq1), (tops, mus, by_slot) in zip(
                 stages, self.levels, self.levels[1:], links):
@@ -203,37 +195,30 @@ class DeflatedSystem:
         return jacobians
 
     def _pass(self, z, levels: int, with_value: bool):
-        """J_0 .. J_{levels-1} at ``z``, and the value F_K(z) if asked (else None).
-
-        The value shares the pass's powers of the base coordinates and each
-        stage's B mu with the Jacobians.
-        """
-        powers = {}
+        """J_0 .. J_{levels-1} at ``z``, and the value F_K(z) if asked (else None),
+        from one ``jet`` of the base system and each stage's B mu."""
         if not self.stages:   # the base system's own evaluation, without the sweeps' fixed cost
-            value = self.base._value(z, powers) if with_value else None
-            return value, [self.base.jacobian_matrix.evaluate(z, powers)] if levels else []
+            return self.base.jet(z, levels, with_value)
+        value, tensors = self.base.jet(z[:self.base.nvars], min(levels, self._cut), with_value)
         mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in self.stages]
-        jacobians = self._jacobians(z, levels, mixed, powers)
+        jacobians = self._jacobians(tensors, mixed, levels)
         if not with_value:
             return None, jacobians
-        pieces = [self.base._value(z[:self.base.nvars], powers)]
+        pieces = [value]
         for stage, jac, bmu in zip(self.stages, jacobians, mixed):
             pieces.append(jac @ bmu)
             pieces.append([stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0])
         return np.concatenate(pieces), jacobians
 
     def value_at(self, z) -> np.ndarray:
-        z = check_point(z, self.nvars)
-        return self._pass(z, len(self.stages), True)[0]
+        return self._pass(check_point(z, self.nvars), len(self.stages), True)[0]
 
     def jacobian_at(self, z) -> np.ndarray:
-        z = check_point(z, self.nvars)
-        return self._pass(z, len(self.stages) + 1, False)[1][-1]
+        return self._pass(check_point(z, self.nvars), len(self.stages) + 1, False)[1][-1]
 
     def value_and_jacobian(self, z):
         """``(value_at(z), jacobian_at(z))`` from one pass of the sweeps."""
-        z = check_point(z, self.nvars)
-        value, jacobians = self._pass(z, len(self.stages) + 1, True)
+        value, jacobians = self._pass(check_point(z, self.nvars), len(self.stages) + 1, True)
         return value, jacobians[-1]
 
     # -- naive route (export and cross-checks only) --------------------------
@@ -273,40 +258,14 @@ class DeflatedSystem:
         return PolySystem(equations, names)
 
 
-def _contract(base: PolySystem, dirs, y, powers) -> np.ndarray:
-    """D^m J_0(y)[u_1, .., u_m] for each row of ``dirs`` (count, m, nvars), m > 0.
-
-    Each sorted multi-index of D^m J_0 is evaluated once and gathered into
-    every ordering.
-    """
+def _contract(tensor, dirs) -> np.ndarray:
+    """``tensor``, D^m J_0 at a point (see ``PolySystem.jet``), applied to
+    [u_1, .., u_m] for each row of ``dirs`` (count, m, nvars), m > 0."""
     count, order, n = dirs.shape
-    alphas, index = _derivative_layout(n, order)
-    tensor = np.array([base.derivative_matrix(alpha).evaluate(y, powers)
-                       for alpha in alphas])[index]
     out = dirs[:, 0].dot(tensor.reshape(n, -1))
     for j in range(1, order):
         out = dirs[:, j, np.newaxis] @ out.reshape(count, n, -1)
-    return out.reshape(count, base.neqs, n)
-
-
-@functools.lru_cache(maxsize=32)
-def _derivative_layout(nvars: int, order: int):
-    """The sorted multi-indices of ``order`` over ``nvars`` variables, and where
-    each ordered one lies among them.
-
-    Returns ``(alphas, index)``: ``alphas`` lists the sorted multi-indices
-    in lexicographic order, and ``index[i_1, .., i_order]`` is the position
-    of ``sorted((i_1, .., i_order))`` in it. The layout depends on the two
-    sizes only, so one serves every system with them; ``index`` is
-    read-only.
-    """
-    alphas = tuple(combinations_with_replacement(range(nvars), order))
-    position = {alpha: k for k, alpha in enumerate(alphas)}
-    index = np.array([position[tuple(sorted(tup))]
-                      for tup in product(range(nvars), repeat=order)],
-                     dtype=np.intp).reshape((nvars,) * order)
-    index.flags.writeable = False
-    return alphas, index
+    return out.reshape(count, *tensor.shape[-2:])
 
 
 @functools.lru_cache(maxsize=32)

@@ -3,9 +3,9 @@
 A monomial is represented by a tuple of nonnegative integer exponents, one
 entry per variable. A :class:`Polynomial` maps exponent tuples to complex
 coefficients; a :class:`PolySystem` bundles equations with variable names and
-offers numeric evaluation of the system and of its Jacobian matrix, which is
-itself a :class:`PolyMatrix` of symbolic partial derivatives; each
-derivative of that matrix is built once and kept (``derivative_matrix``).
+evaluates the system, its Jacobian and the Jacobian's higher derivatives
+(``PolySystem.jet``). A :class:`PolyMatrix` is a grid of polynomials; the
+symbolic Jacobian (``jacobian_matrix``) is one, built for export.
 
 A polynomial holds one term map, ``terms``, whose iteration order is graded
 lexicographic (total degree, then exponents): evaluation sums in that
@@ -29,9 +29,11 @@ orders the terms. Sums (a parsed polynomial, a row times a matrix column)
 are accumulated in one dictionary and constructed once: building one per
 added term would make a long sum quadratic in its length.
 
-A ``PolyMatrix`` whose entries are all constant is evaluated when it is
-built; every evaluation checks the point and returns that one read-only
-array.
+Every evaluation takes its powers from a table built per call by repeated
+squaring, and sums, from 0j in term order, each coefficient times its powers
+in variable order. A value alone is read from the term maps. ``PolySystem.jet``
+reads the derivatives from flat term lists built once per system, with the
+coefficients and order that symbolic differentiation would give.
 
 The parser reads the equations through compiled regexes: one match takes a
 run of simple factors (numbers, complex literals such as ``(1.5-0.5i)`` and
@@ -66,7 +68,7 @@ import math
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement, product
 from operator import add
 
 import numpy as np
@@ -106,21 +108,71 @@ def check_point(point, nvars: int, what: str = "point") -> np.ndarray:
     return z
 
 
-def _power(point, j, e, cache):
-    """x_j**e by repeated squaring, memoized in ``cache`` for this call."""
-    if e == 0:
-        return 1.0
-    if e == 1:
-        return point[j]
-    key = (j, e)
-    v = cache.get(key)
-    if v is None:
-        half = _power(point, j, e >> 1, cache)
-        v = half * half
-        if e & 1:
-            v = v * point[j]
-        cache[key] = v
-    return v
+def _power_table(point, top: int) -> list:
+    """Row j holds x_j**e, e <= ``top``, by repeated squaring; ``point`` is checked."""
+    table = []
+    for x in point.tolist():
+        row = [1.0, x]
+        for e in range(2, top + 1):
+            half = row[e >> 1]
+            row.append(half * half * x if e & 1 else half * half)
+        table.append(row)
+    return table
+
+
+def _value(terms: dict, table) -> complex:
+    """``terms`` at the table's point: from 0j, in term order, each coefficient by its powers."""
+    total = 0j
+    for exps, c in terms.items():
+        for j, e in enumerate(exps):
+            if e:
+                c = c * table[j][e]
+        total += c
+    return total
+
+
+def _values(order, table) -> list:
+    """``_value`` of each list of ``order`` (``_order``), keyed by factors ((j, e > 0), ..)."""
+    lists, nonempty = order
+    out = [0j] * len(lists)
+    for k, terms in nonempty:
+        total = 0j
+        for factors, c in terms.items():
+            for j, e in factors:
+                c = c * table[j][e]
+            total += c
+        out[k] = total
+    return out
+
+
+def _order(lists: tuple) -> tuple:
+    """``lists`` and the (position, list) pairs of its nonempty lists, the ones summed."""
+    return lists, tuple((k, terms) for k, terms in enumerate(lists) if terms)
+
+
+def _differentiated(terms: dict, var: int) -> dict:
+    """The term list ``terms`` differentiated by variable ``var`` as
+    ``Polynomial.differentiate`` does it, order and coefficients alike."""
+    out = []
+    for factors, c in terms.items():
+        for k, (j, e) in enumerate(factors):
+            if j == var:   # the factor goes when its exponent falls to 0
+                out.append((factors[:k] + ((j, e - 1),) * (e > 1) + factors[k + 1:], c * e))
+    return _clean(out)
+
+
+@functools.lru_cache(maxsize=32)
+def _derivative_layout(nvars: int, order: int):
+    """``(alphas, index)``: the sorted multi-indices of ``order`` over ``nvars``
+    variables in lexicographic order, and the read-only array whose entry
+    [i_1, .., i_order] is the position of ``sorted((i_1, .., i_order))``."""
+    alphas = tuple(combinations_with_replacement(range(nvars), order))
+    position = {alpha: k for k, alpha in enumerate(alphas)}
+    index = np.array([position[tuple(sorted(tup))]
+                      for tup in product(range(nvars), repeat=order)],
+                     dtype=np.intp).reshape((nvars,) * order)
+    index.flags.writeable = False
+    return alphas, index
 
 
 def _clean(items) -> dict:
@@ -194,17 +246,17 @@ class Polynomial:
         self.terms = _canonical(summed)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "Polynomial":
+    def _trusted(cls, nvars: int, terms: dict, canonical: bool = False) -> "Polynomial":
         """Unchecked constructor for arithmetic results.
 
         ``terms`` maps exponent tuples of length ``nvars`` (nonnegative ints)
         to Python complex numbers, which holds for anything computed from
         valid polynomials and Python complex scalars. It finishes as the
-        checked constructor does, through ``_canonical``.
+        checked constructor does, through ``_canonical``, unless ``canonical``.
         """
         self = object.__new__(cls)
         self.nvars = nvars
-        self.terms = _canonical(terms)
+        self.terms = terms if canonical else _canonical(terms)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -291,34 +343,19 @@ class Polynomial:
     # -- calculus and substitution ----------------------------------------
 
     def differentiate(self, var_index: int) -> "Polynomial":
-        """Exact partial derivative with respect to variable ``var_index``."""
+        """Exact partial derivative with respect to variable ``var_index``, only
+        cleaned: lowering one exponent keeps graded order and merges no terms."""
         if not 0 <= var_index < self.nvars:
             raise IndexError(
                 f"variable index {var_index} out of range for {self.nvars} variables"
             )
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[var_index]
-            if e == 0:
-                continue
-            key = exps[:var_index] + (e - 1,) + exps[var_index + 1:]
-            out[key] = out.get(key, 0j) + c * e
-        return Polynomial._trusted(self.nvars, out)
+        j = var_index
+        return Polynomial._trusted(self.nvars, _clean(
+            [(exps[:j] + (exps[j] - 1,) + exps[j + 1:], c * exps[j])
+             for exps, c in self.terms.items() if exps[j]]), canonical=True)
 
-    def evaluate(self, point: Sequence[complex], cache=None) -> complex:
-        check_point(point, self.nvars)
-        return self._evaluate(point, {} if cache is None else cache)
-
-    def _evaluate(self, point, cache) -> complex:
-        """``evaluate`` without the length check, for callers that made it."""
-        total = 0j
-        for exps, c in self.terms.items():
-            v = c
-            for j, e in enumerate(exps):
-                if e:
-                    v = v * _power(point, j, e, cache)
-            total += v
-        return total
+    def evaluate(self, point: Sequence[complex]) -> complex:
+        return _value(self.terms, _power_table(check_point(point, self.nvars), self.degree))
 
     def shift(self, center: Sequence[complex]) -> "Polynomial":
         """Recenter: return q with q(u) = p(u + center), same variables.
@@ -388,7 +425,7 @@ class Polynomial:
 class PolyMatrix:
     """Rectangular grid of polynomials sharing one variable space."""
 
-    __slots__ = ("entries", "rows", "cols", "nvars", "_const")
+    __slots__ = ("entries", "rows", "cols", "nvars")
 
     def __init__(self, entries: Sequence[Sequence[Polynomial]]):
         grid = tuple(tuple(row) for row in entries)
@@ -406,28 +443,13 @@ class PolyMatrix:
         self.rows = len(grid)
         self.cols = width
         self.nvars = nvars
-        # the value of a matrix without a variable, computed once: read-only,
-        # since every evaluation hands out this one array
-        self._const = None
-        if all(p.degree <= 0 for row in grid for p in row):
-            origin = (0,) * nvars
-            self._const = np.array([[p.terms.get(origin, 0j) for p in row] for row in grid],
-                                   dtype=complex)
-            self._const.flags.writeable = False
 
-    def evaluate(self, point: Sequence[complex], cache=None) -> np.ndarray:
-        """The entries' values at ``point``; a constant matrix returns its one
-        read-only array."""
-        check_point(point, self.nvars)
-        if self._const is not None:
-            return self._const
-        if cache is None:
-            cache = {}
-        out = np.empty((self.rows, self.cols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                out[i, j] = p._evaluate(point, cache)
-        return out
+    def evaluate(self, point: Sequence[complex]) -> np.ndarray:
+        """The entries' values at ``point``."""
+        table = _power_table(check_point(point, self.nvars),
+                             max(p.degree for row in self.entries for p in row))
+        return np.array([[_value(p.terms, table) for p in row] for row in self.entries],
+                        dtype=complex)
 
     def differentiate(self, var_index: int) -> "PolyMatrix":
         return PolyMatrix(
@@ -457,7 +479,7 @@ class PolyMatrix:
 class PolySystem:
     """A system of N polynomial equations in n named variables."""
 
-    __slots__ = ("equations", "var_names", "_derivatives", "_scale")
+    __slots__ = ("equations", "var_names", "degree", "_lists")
 
     def __init__(self, equations: Sequence[Polynomial], var_names: Sequence[str]):
         eqs = tuple(equations)
@@ -476,8 +498,8 @@ class PolySystem:
                 raise ValueError("equation variable count does not match names")
         self.equations = eqs
         self.var_names = names
-        self._derivatives = {}
-        self._scale = None
+        self.degree = max(p.degree for p in eqs)   # -1 when every equation is zero
+        self._lists = None   # term lists by derivative order (``_term_lists``)
 
     @property
     def nvars(self) -> int:
@@ -495,45 +517,64 @@ class PolySystem:
     def __hash__(self):
         return hash((self.var_names, self.equations))
 
-    def value_at(self, point: Sequence[complex]) -> np.ndarray:
-        return self._value(check_point(point, self.nvars), {})
-
-    def _value(self, point, cache) -> np.ndarray:
-        return np.array([p._evaluate(point, cache) for p in self.equations],
-                        dtype=complex)
-
     @property
     def jacobian_matrix(self) -> PolyMatrix:
-        return self.derivative_matrix(())
+        """The symbolic Jacobian, built on each call, for export."""
+        return PolyMatrix([[p.differentiate(j) for j in range(self.nvars)]
+                           for p in self.equations])
 
-    def derivative_matrix(self, alpha) -> PolyMatrix:
-        """The Jacobian differentiated by each variable of the multi-index
-        ``alpha`` in turn (the Jacobian itself at ``()``), built once."""
-        found = self._derivatives.get(alpha)
-        if found is None:
-            if alpha:
-                found = self.derivative_matrix(alpha[:-1]).differentiate(alpha[-1])
-            else:
-                found = PolyMatrix([[p.differentiate(j) for j in range(self.nvars)]
-                                    for p in self.equations])
-            self._derivatives[alpha] = found
-        return found
+    def _term_lists(self, orders: int) -> list:
+        """The term lists of orders 0 .. ``orders``, each built once (``_order``):
+        one per equation, then one per entry of J (row by row), then of D^m J at
+        each multi-index of ``_derivative_layout(nvars, m)``. A list maps factors
+        ((j, e), ..) to coefficients in graded order; each order differentiates
+        the one below by the multi-index's last variable."""
+        lists = self._lists
+        if lists is None:
+            values = tuple({tuple((j, e) for j, e in enumerate(exps) if e): c
+                            for exps, c in p.terms.items()} for p in self.equations)
+            lists = self._lists = [_order(values), _order(tuple(
+                _differentiated(terms, j) for terms in values for j in range(self.nvars)))]
+        size = self.neqs * self.nvars
+        while len(lists) <= orders:
+            order, below = len(lists) - 1, lists[-1][0]
+            first = {alpha: k * size for k, alpha in
+                     enumerate(_derivative_layout(self.nvars, order - 1)[0])}
+            lists.append(_order(tuple(_differentiated(below[first[alpha[:-1]] + k], alpha[-1])
+                                      for alpha in _derivative_layout(self.nvars, order)[0]
+                                      for k in range(size))))
+        return lists
+
+    def jet(self, point, orders: int, value: bool):
+        """``(F, [J, D J, .., D^(orders - 1) J])`` at the checked vector ``point``,
+        F None unless ``value``; D^m J[a_1, .., a_m] (shape (nvars,) * m + (neqs,
+        nvars)) is J differentiated by x_(a_1) .. x_(a_m). Orders 0 build no list."""
+        table = _power_table(point, self.degree)
+        if not orders:
+            return np.array([_value(p.terms, table) for p in self.equations],
+                            dtype=complex), []
+        lists = self._term_lists(orders)
+        tensors = [np.array(_values(lists[m + 1], table), dtype=complex)
+                   .reshape(-1, self.neqs, self.nvars)[_derivative_layout(self.nvars, m)[1]]
+                   for m in range(orders)]
+        return np.array(_values(lists[0], table), dtype=complex) if value else None, tensors
+
+    def value_at(self, point: Sequence[complex]) -> np.ndarray:
+        return self.jet(check_point(point, self.nvars), 0, True)[0]
 
     def jacobian_at(self, point: Sequence[complex]) -> np.ndarray:
-        return self.jacobian_matrix.evaluate(check_point(point, self.nvars))
+        return self.jet(check_point(point, self.nvars), 1, False)[1][0]
 
     def value_and_jacobian(self, point: Sequence[complex]):
-        """``(value_at(point), jacobian_at(point))`` from one pass over the powers."""
-        point, cache = check_point(point, self.nvars), {}
-        return self._value(point, cache), self.jacobian_matrix.evaluate(point, cache)
+        """``(value_at(point), jacobian_at(point))`` from one power table."""
+        value, tensors = self.jet(check_point(point, self.nvars), 1, True)
+        return value, tensors[0]
 
     @property
     def coefficient_scale(self) -> float:
         """Largest coefficient modulus appearing in the Jacobian."""
-        if self._scale is None:
-            self._scale = max((abs(c) for row in self.jacobian_matrix.entries
-                               for p in row for c in p.terms.values()), default=0.0)
-        return self._scale
+        return max((abs(c) for terms in self._term_lists(1)[1][0] for c in terms.values()),
+                   default=0.0)
 
 
 # ---------------------------------------------------------------------------

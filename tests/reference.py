@@ -9,12 +9,19 @@
 * ``symbolic_deflation``: the kernel-direction deflation, which appends
   directional derivatives and adds no multiplier variables. It is a
   second route to a lower multiplicity, next to the randomized stages.
+* ``power``, ``evaluate``, ``differentiate``, ``derivative_matrix``,
+  ``matrix_value`` and ``reference_jet``: the evaluator that came before
+  ``PolySystem.jet``'s term lists: powers memoized per call by repeated
+  squaring, a loop over each polynomial's term map, and each derivative of
+  the Jacobian built as a symbolic ``PolyMatrix`` (sorted, not trusted to
+  come in graded order) and evaluated entry by entry. The term lists must
+  give its values bit for bit.
 * ``recursive_jacobians`` and ``recursive_value``: the per-call recursion
   over the block formula of ``polydeflate.deflate``, one call per
   derivative request and no degree cut, against which the batched sweeps
   of ``DeflatedSystem`` are checked.
 * ``unique_layout``: the multi-index layout of a base derivative tensor
-  built with ``np.unique``, against which ``deflate._derivative_layout``
+  built with ``np.unique``, against which ``polysys._derivative_layout``
   is checked.
 * ``cumprod_trend``: the corank trend of ``newton`` as array operations,
   against which the scan of ``newton._trend`` is checked.
@@ -32,7 +39,7 @@ import numpy as np
 from polydeflate import linalg, oracle
 from polydeflate.deflate import RegularPointError
 from polydeflate.newton import _TREND_FALL
-from polydeflate.polysys import Polynomial, PolySystem
+from polydeflate.polysys import Polynomial, PolyMatrix, PolySystem
 
 
 def zero(nvars: int) -> Polynomial:
@@ -111,13 +118,85 @@ def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySy
     return PolySystem(list(system.equations) + appended, system.var_names)
 
 
-def _derivative_matrix(base, alpha, matrices):
-    """The base Jacobian differentiated by the sorted multi-index ``alpha``."""
-    if not alpha:
-        return base.jacobian_matrix
+def power(point, j, e, cache):
+    """x_j**e by repeated squaring, memoized in ``cache`` for this call."""
+    if e == 0:
+        return 1.0
+    if e == 1:
+        return point[j]
+    key = (j, e)
+    v = cache.get(key)
+    if v is None:
+        half = power(point, j, e >> 1, cache)
+        v = half * half
+        if e & 1:
+            v = v * point[j]
+        cache[key] = v
+    return v
+
+
+def evaluate(poly: Polynomial, point, cache) -> complex:
+    """``poly`` at ``point`` (a complex array), its powers taken from ``cache``."""
+    total = 0j
+    for exps, c in poly.terms.items():
+        v = c
+        for j, e in enumerate(exps):
+            if e:
+                v = v * power(point, j, e, cache)
+        total += v
+    return total
+
+
+def differentiate(poly: Polynomial, var: int) -> Polynomial:
+    """The partial derivative summed and then sorted by the checked constructor."""
+    out = {}
+    for exps, c in poly.terms.items():
+        e = exps[var]
+        if e:
+            key = exps[:var] + (e - 1,) + exps[var + 1:]
+            out[key] = out.get(key, 0j) + c * e
+    return Polynomial(poly.nvars, out)
+
+
+def derivative_matrix(system: PolySystem, alpha, matrices) -> PolyMatrix:
+    """The symbolic Jacobian differentiated by each variable of the sorted
+    multi-index ``alpha`` in turn, built once per ``matrices`` cache."""
     if alpha not in matrices:
-        matrices[alpha] = _derivative_matrix(base, alpha[:-1], matrices).differentiate(alpha[-1])
+        if alpha:
+            prefix = derivative_matrix(system, alpha[:-1], matrices)
+            matrices[alpha] = PolyMatrix([[differentiate(p, alpha[-1]) for p in row]
+                                          for row in prefix.entries])
+        else:
+            matrices[alpha] = PolyMatrix([[differentiate(p, j) for j in range(system.nvars)]
+                                          for p in system.equations])
     return matrices[alpha]
+
+
+def matrix_value(matrix: PolyMatrix, point, cache) -> np.ndarray:
+    """The entries of ``matrix`` at ``point``, one at a time."""
+    out = np.empty((matrix.rows, matrix.cols), dtype=complex)
+    for i, row in enumerate(matrix.entries):
+        for j, p in enumerate(row):
+            out[i, j] = evaluate(p, point, cache)
+    return out
+
+
+def reference_jet(system: PolySystem, point, orders: int, matrices=None):
+    """``PolySystem.jet(point, orders, True)`` by the reference evaluator,
+    with one power cache for the whole call; ``matrices`` may carry the
+    symbolic matrices from call to call."""
+    point = np.asarray(point, dtype=complex)
+    cache, matrices = {}, {} if matrices is None else matrices
+    value = np.array([evaluate(p, point, cache) for p in system.equations], dtype=complex)
+    tensors = []
+    for m in range(orders):
+        if m:
+            alphas, index = unique_layout(system.nvars, m)
+        else:
+            alphas, index = [()], 0
+        tensors.append(np.array([matrix_value(derivative_matrix(system, tuple(alpha), matrices),
+                                              point, cache) for alpha in alphas])[index])
+    return value, tensors
 
 
 def _derivative(base, order, y, powers, matrices):
@@ -131,7 +210,7 @@ def _derivative(base, order, y, powers, matrices):
     for tup in product(range(base.nvars), repeat=order):
         alpha = tuple(sorted(tup))
         if alpha not in values:
-            values[alpha] = _derivative_matrix(base, alpha, matrices).evaluate(y, powers)
+            values[alpha] = matrix_value(derivative_matrix(base, alpha, matrices), y, powers)
         out[(slice(None), slice(None)) + tup] = values[alpha]
     return out
 

@@ -7,7 +7,9 @@ come back with the same terms, the same order and the same coefficient bits
 (so a negative zero part, which the checked path normalizes, would show),
 with int exponents and Python ``complex`` coefficients. Every result, and
 every checked construction from unsorted input, holds its terms in graded
-lexicographic order.
+lexicographic order. ``differentiate`` relies on that order instead of
+sorting, and ``Polynomial.evaluate`` and ``PolyMatrix.evaluate`` must give
+the bits of the reference evaluator.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from polydeflate.polysys import DROP_TOL, Polynomial, PolyMatrix
 
+import reference
 from conftest import is_graded
 
 checked = settings(max_examples=60, deadline=None, derandomize=True)
@@ -28,8 +31,8 @@ COEFFICIENTS = st.builds(complex, _REALS, _REALS)
 
 
 @st.composite
-def polynomials(draw, nvars):
-    monomials = st.tuples(*[st.integers(0, 3)] * nvars)
+def polynomials(draw, nvars, top=3):
+    monomials = st.tuples(*[st.integers(0, top)] * nvars)
     return Polynomial(nvars, draw(st.dictionaries(monomials, COEFFICIENTS, max_size=6)))
 
 
@@ -139,3 +142,30 @@ def test_checked_constructor_keeps_its_checks():
     assert p.terms == {(1, 2): 3 + 0j}
     (exps, c), = p.terms.items()
     assert all(type(e) is int for e in exps) and type(c) is complex
+
+
+@checked
+@given(st.integers(1, 3).flatmap(lambda n: polynomials(n, top=6)))
+def test_differentiate_keeps_graded_order(a):
+    # lowering one exponent keeps the order and merges no two terms, so the
+    # unsorted result has the terms and bits of one that is summed and sorted
+    for var in range(a.nvars):
+        result = a.differentiate(var)
+        assert is_graded(result.terms)
+        assert bits(result) == bits(reference.differentiate(a, var))
+
+
+POINTS = st.builds(complex, st.floats(-4, 4), st.floats(-4, 4))
+
+
+@checked
+@given(pairs(), st.data())
+def test_evaluate_has_reference_bits(pair, data):
+    a, b = pair
+    point = np.array(data.draw(st.lists(POINTS, min_size=a.nvars, max_size=a.nvars)))
+    value = a.evaluate(point)
+    expected = reference.evaluate(a, point, {})
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+    matrix = PolyMatrix([[a, b], [b * a, a.differentiate(0)]])
+    expected = reference.matrix_value(matrix, point, {})
+    assert matrix.evaluate(point).tobytes() == expected.tobytes()

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from polydeflate import deflate, linalg, newton, oracle
+from polydeflate import deflate, linalg, newton, oracle, polysys
 from polydeflate.deflate import DeflatedSystem, DeflationStage, RegularPointError
 from polydeflate.polysys import PolySystem, format_system, parse_system
 
@@ -440,9 +440,10 @@ def assert_matches_recursion(system, seed=61):
 
 
 def assert_no_vanishing_tensors(system):
-    """The base caches no derivative of order >= the base degree."""
+    """The base builds the term lists of no D^m J with m >= the base degree:
+    its lists hold F, J, D J, .., so the last is D^m J with m = length - 2."""
     cut = max(1, max(p.degree for p in system.base.equations))
-    assert max(len(alpha) for alpha in system.base._derivatives) < cut
+    assert len(system.base._lists) - 2 < cut
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
@@ -475,7 +476,7 @@ def test_request_count_is_the_recursions_call_count():
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_derivative_layout_matches_unique(nvars, order):
-    alphas, index = deflate._derivative_layout(nvars, order)
+    alphas, index = polysys._derivative_layout(nvars, order)
     expected_alphas, expected_index = unique_layout(nvars, order)
     assert list(alphas) == expected_alphas
     assert index.shape == expected_index.shape
@@ -485,20 +486,27 @@ def test_derivative_layout_matches_unique(nvars, order):
 
 
 def test_derivative_layouts_are_built_once_per_process():
-    def solve():
-        report = deflate.deflate_loop(load_fixture("cubic_trio.ps"), [1e-3, -2e-3j],
-                                      max_stages=3)
+    def solve(system):
+        report = deflate.deflate_loop(system, [1e-3, -2e-3j], max_stages=3)
         assert report.status == newton.CONVERGED_REGULAR
         return report
 
-    deflate._derivative_layout.cache_clear()
-    solve()
-    first = deflate._derivative_layout.cache_info()
-    assert first.misses == 2   # orders 1 and 2 of the two base variables
-    solve()
-    second = deflate._derivative_layout.cache_info()
+    polysys._derivative_layout.cache_clear()
+    system = load_fixture("cubic_trio.ps")
+    solve(system)
+    first = polysys._derivative_layout.cache_info()
+    assert first.misses == 3   # orders 0, 1 and 2 of the two base variables
+    # the base's term lists: F, J, D J and D^2 J, below cubic_trio's degree 3
+    lists = list(system._lists)
+    assert len(lists) == 4
+    solve(load_fixture("cubic_trio.ps"))
+    second = polysys._derivative_layout.cache_info()
     assert second.misses == first.misses
     assert second.hits > first.hits
+    # a second solve on the same system builds no list again
+    solve(system)
+    assert len(system._lists) == len(lists)
+    assert all(new is old for new, old in zip(system._lists, lists))
 
 
 @pytest.mark.parametrize("text,ranks", [
@@ -774,6 +782,21 @@ def test_near_root_pool_entries_converge(entry, name, start, seed, coranks):
     assert report.status == newton.CONVERGED_REGULAR
     assert report.corank_sequence == coranks
     assert np.linalg.norm(report.solution[:len(start)]) <= 1e-8
+
+
+def test_near_root_pool_entry_25_ends_off_the_root():
+    # The one near-root pool entry the benchmark fails (false_convergence),
+    # pinned as it is: after one stage a step from residual 3.2e-12 to
+    # 9.5e-13, below the absolute residual_tol, ends the solve 3.04e-5 from
+    # the root. ROADMAP item 1 (accept only quadratic convergence) will flip
+    # this test to convergence at the root.
+    start = [9.939016102164573e-05+5.711961495762446e-05j,
+             3.2823226511316906e-05-3.1633906571474487e-05j]
+    report = deflate.deflate_loop(load_fixture("axis_quartic.ps"), start, seed=2047249838,
+                                  max_stages=4)
+    assert report.status == newton.CONVERGED_REGULAR
+    assert report.corank_sequence == [1, 0]
+    assert 3.03e-5 <= np.linalg.norm(report.solution[:2]) <= 3.05e-5
 
 
 @pytest.mark.parametrize("seed", range(3))

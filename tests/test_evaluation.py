@@ -1,0 +1,70 @@
+"""The term-list evaluator against the evaluator before it, bit for bit.
+
+``reference.reference_jet`` evaluates as the package did before
+``PolySystem.jet`` read flat term lists: powers memoized by repeated
+squaring, a loop over each term map, and each derivative of the Jacobian
+built as a symbolic ``PolyMatrix`` and evaluated entry by entry. Reports
+and the benchmark's output digests depend on every bit of these values, so
+the value, the Jacobian and every derivative tensor below the degree cut
+must have the reference's bits, not merely be close: a test here fails as
+soon as an operation order changes.
+"""
+
+import numpy as np
+import pytest
+
+from polydeflate.polysys import parse_system
+
+from conftest import load_fixture
+from reference import derivative_matrix, reference_jet
+
+FIXTURES = ["square.ps", "axis_quartic.ps", "cubic_trio.ps", "cross_cubes.ps", "bench9.ps",
+            "cbms2.ps", "dz1.ps", "dz2.ps", "kss5.ps"]
+
+
+def same_bits(ours, theirs) -> bool:
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return (ours.dtype == theirs.dtype == complex and ours.shape == theirs.shape
+            and np.array_equal(ours, theirs) and ours.tobytes() == theirs.tobytes())
+
+
+def assert_jet_has_reference_bits(system, seed):
+    """F, J and every D^m J with m below the degree at seeded random points
+    near the origin, at unit scale and farther out."""
+    cut = max(1, max(p.degree for p in system.equations))
+    rng = np.random.default_rng(seed)
+    matrices = {}
+    for scale in (1e-3, 1.0, 7.0):
+        point = scale * (rng.normal(size=system.nvars) + 1j * rng.normal(size=system.nvars))
+        value, tensors = system.jet(point, cut, True)
+        ref_value, ref_tensors = reference_jet(system, point, cut, matrices)
+        assert same_bits(value, ref_value)
+        assert len(tensors) == cut
+        for ours, theirs in zip(tensors, ref_tensors):
+            assert same_bits(ours, theirs)
+        # the public entry points read the same lists and term maps
+        assert same_bits(system.value_at(point), ref_value)
+        assert same_bits(system.jacobian_at(point), ref_tensors[0])
+        both = system.value_and_jacobian(point)
+        assert same_bits(both[0], ref_value) and same_bits(both[1], ref_tensors[0])
+    jacobian = derivative_matrix(system, (), matrices)
+    assert system.coefficient_scale == max(
+        (abs(c) for row in jacobian.entries for p in row for c in p.terms.values()),
+        default=0.0)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_jet_has_reference_bits_on_fixtures(name):
+    assert_jet_has_reference_bits(load_fixture(name), seed=len(name))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_jet_has_reference_bits_on_ladders(d):
+    assert_jet_has_reference_bits(parse_system(f"2\nx y\nx;\ny^{d};\n"), seed=d)
+
+
+def test_jet_without_orders_builds_no_list():
+    system = load_fixture("cubic_trio.ps")
+    value, tensors = system.jet(np.array([0.5, 2j]), 0, True)
+    assert tensors == [] and system._lists is None
+    assert same_bits(value, reference_jet(system, [0.5, 2j], 0)[0])

@@ -136,11 +136,13 @@ def test_eval_poly_matrix_zero():
     assert np.allclose(m.evaluate([3.0, 4.0]), np.zeros((2, 2)))
 
 
-def test_constant_jacobian_is_one_read_only_array():
+def test_linear_jacobian_lists_hold_constants_only():
     system = parse_system("2\nx y\nx + 2*y;\n3*x - y;\n")
     jac = system.jacobian_at([0.5, 0.5])
-    with pytest.raises(ValueError, match="read-only"):
-        jac[0, 0] = -7
+    # one term without factors per entry: every point reads the coefficients
+    assert [list(terms.items()) for terms in system._lists[1][0]] == [
+        [((), 1 + 0j)], [((), 2 + 0j)], [((), 3 + 0j)], [((), -1 + 0j)]]
+    jac[0, 0] = -7   # each evaluation returns an array of its own
     for later in (system.jacobian_at([2.0, -1.0]), system.value_and_jacobian([0.0, 1.0])[1]):
         assert later.tolist() == [[1, 2], [3, -1]]
 
