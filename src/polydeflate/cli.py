@@ -59,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _num(x) -> str:
-    """17 significant digits; null for inf and NaN, which JSON cannot hold."""
-    x = float(x)
+    """17 significant digits; null for None, inf and NaN, which JSON cannot hold."""
+    x = math.nan if x is None else float(x)
     return "%.17g" % x if math.isfinite(x) else "null"
 
 
@@ -91,10 +91,6 @@ def _emit(node, pad="") -> str:
     return node
 
 
-def _digits_or_null(value) -> str:
-    return "null" if value is None else _num(value)
-
-
 def report_tree(report: deflate.SolverReport) -> dict:
     """Fixed-order tree for one solver report; wall time stays last."""
     stages = []
@@ -119,8 +115,8 @@ def report_tree(report: deflate.SolverReport) -> dict:
         "residual_final": _num(report.residual_final),
         "inverse_condition_original": _num(report.inverse_condition_original),
         "inverse_condition_final": _num(report.inverse_condition_final),
-        "correct_digits_initial": _digits_or_null(report.correct_digits_initial),
-        "correct_digits_final": _digits_or_null(report.correct_digits_final),
+        "correct_digits_initial": _num(report.correct_digits_initial),
+        "correct_digits_final": _num(report.correct_digits_final),
         "solution": [_pair(z) for z in report.solution],
         "stages": stages,
         "wall_time_seconds": _num(report.wall_time_seconds),
@@ -178,7 +174,8 @@ def _parse_point(data, expected, origin):
 
 def _load_json(path):
     try:
-        return json.loads(_read_text(path))
+        # integers read as floats: one beyond the float range is inf, not an error
+        return json.loads(_read_text(path), parse_int=float)
     except json.JSONDecodeError as err:
         raise CliError(1, f"{path}: invalid JSON ({err.msg} at line {err.lineno})")
 

@@ -41,10 +41,11 @@ system's total degree is dropped, since D^m J_0 = 0 there (order 0 is
 always kept). At the base, one ``jet`` gives F_0 and each tensor D^m J_0,
 contracted with all requests of order m together; the bottom-up sweep then
 builds each level's blocks for all its requests at once, adding the mid
-terms in the formula's order (B mu first, then slot 1, 2, ...). One pass
-gives J_0 .. J_K, hence ``value_and_jacobian``; ``value_at`` stops below
-the top Jacobian. A system without stages runs no sweep and evaluates as
-its base system does.
+terms in the formula's order (B mu first, then slot 1, 2, ...). A pass,
+``_pass(z, levels)``, returns F_K with J_0 .. J_(levels-1): one over all
+K + 1 levels gives ``jacobian_at`` and ``value_and_jacobian``, and
+``value_at`` stops below the top Jacobian. A system without stages runs no
+sweep and evaluates as its base system does.
 
 ``DeflatedSystem.expand`` produces the naive fully-expanded polynomial
 system. It exists for file export and as a cross-check in the tests; it is
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, newton
-from .polysys import Polynomial, PolySystem, check_point, format_system, _fmt_coeff
+from .polysys import Polynomial, PolyMatrix, PolySystem, check_point, format_system, _fmt_coeff
 
 DEFAULT_SEED = 0x5EED
 STAGE_CAP = 10
@@ -194,16 +195,14 @@ class DeflatedSystem:
             jacobians.append(results[0])
         return jacobians
 
-    def _pass(self, z, levels: int, with_value: bool):
-        """J_0 .. J_{levels-1} at ``z``, and the value F_K(z) if asked (else None),
-        from one ``jet`` of the base system and each stage's B mu."""
+    def _pass(self, z, levels: int):
+        """The value F_K(z) and J_0 .. J_{levels-1} at ``z``, from one ``jet`` of
+        the base system and each stage's B mu."""
         if not self.stages:   # the base system's own evaluation, without the sweeps' fixed cost
-            return self.base.jet(z, levels, with_value)
-        value, tensors = self.base.jet(z[:self.base.nvars], min(levels, self._cut), with_value)
+            return self.base.jet(z, levels)
+        value, tensors = self.base.jet(z[:self.base.nvars], min(levels, self._cut))
         mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in self.stages]
         jacobians = self._jacobians(tensors, mixed, levels)
-        if not with_value:
-            return None, jacobians
         pieces = [value]
         for stage, jac, bmu in zip(self.stages, jacobians, mixed):
             pieces.append(jac @ bmu)
@@ -211,14 +210,14 @@ class DeflatedSystem:
         return np.concatenate(pieces), jacobians
 
     def value_at(self, z) -> np.ndarray:
-        return self._pass(check_point(z, self.nvars), len(self.stages), True)[0]
+        return self._pass(check_point(z, self.nvars), len(self.stages))[0]
 
     def jacobian_at(self, z) -> np.ndarray:
-        return self._pass(check_point(z, self.nvars), len(self.stages) + 1, False)[1][-1]
+        return self.value_and_jacobian(z)[1]
 
     def value_and_jacobian(self, z):
         """``(value_at(z), jacobian_at(z))`` from one pass of the sweeps."""
-        value, jacobians = self._pass(check_point(z, self.nvars), len(self.stages) + 1, True)
+        value, jacobians = self._pass(check_point(z, self.nvars), len(self.stages) + 1)
         return value, jacobians[-1]
 
     # -- naive route (export and cross-checks only) --------------------------
@@ -229,7 +228,6 @@ class DeflatedSystem:
         Refuses a stage that could exceed ``EXPAND_TERM_CAP`` terms before building
         it: a term of degree d in n variables has at most min(n, d) partials."""
         equations = list(self.base.equations)
-        names = self.var_names
         for k, stage in enumerate(self.stages, start=1):
             n_prev = stage.nvars_prev
             bound = stage.rank + 2 + sum(len(p.terms) * (
@@ -240,8 +238,9 @@ class DeflatedSystem:
             n_out = stage.nvars_out
             prefix = list(range(n_prev))
             lifted = [p.embed(n_out, prefix) for p in equations]
-            level = PolySystem(equations, names[:n_prev])
-            combined = level.jacobian_matrix.right_multiply(stage.mix)
+            # the level's symbolic Jacobian, from its own equations, times B
+            combined = PolyMatrix([[p.differentiate(j) for j in range(n_prev)]
+                                   for p in equations]).right_multiply(stage.mix)
             # exponents of multiplier t over the rank + 1 new variables
             units = [tuple(int(i == t) for i in range(stage.rank + 1))
                      for t in range(stage.rank + 1)]
@@ -255,7 +254,7 @@ class DeflatedSystem:
             for t, unit in enumerate(units):
                 last[(0,) * n_prev + unit] = complex(stage.anchor[t])
             equations = lifted + mid + [Polynomial._trusted(n_out, last)]
-        return PolySystem(equations, names)
+        return PolySystem(equations, self.var_names)
 
 
 def _contract(tensor, dirs) -> np.ndarray:
@@ -369,8 +368,7 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
     this one spectrum at ``rank_tol``, which with no trend to read is the
     scaled cut.
     """
-    if not 0 < rank_tol < 1:
-        raise ValueError("rank tolerance must lie in (0, 1)")
+    linalg.check_tol(rank_tol)
     current = _as_deflated(system)
     x0 = check_point(x0, current.nvars)
     if jacobian is None:

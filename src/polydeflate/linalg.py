@@ -68,14 +68,15 @@ def singular_values(matrix) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """A ValueError unless the rank tolerance ``tol`` lies in (0, 1)."""
     if not 0 < tol < 1:
         raise ValueError("rank tolerance must lie in (0, 1)")
 
 
 def numerical_rank(sigma, tol: float) -> int:
     """Count the singular values ``sigma`` (descending) above ``tol * sigma_1``."""
-    _check_tol(tol)
+    check_tol(tol)
     return int(np.count_nonzero(sigma > tol * float(sigma[0])))
 
 
@@ -132,7 +133,7 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
     b = np.asarray(b, dtype=complex)
     if b.shape != (rows,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({rows},)")
-    _check_tol(tol)
+    check_tol(tol)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SvdConvergenceError("least-squares input has a NaN or infinite entry")
     if rows <= cols or cols < QR_MIN_COLS:

@@ -3,9 +3,9 @@
 A monomial is represented by a tuple of nonnegative integer exponents, one
 entry per variable. A :class:`Polynomial` maps exponent tuples to complex
 coefficients; a :class:`PolySystem` bundles equations with variable names and
-evaluates the system, its Jacobian and the Jacobian's higher derivatives
-(``PolySystem.jet``). A :class:`PolyMatrix` is a grid of polynomials; the
-symbolic Jacobian (``jacobian_matrix``) is one, built for export.
+evaluates the system with its Jacobian and the Jacobian's higher derivatives
+(``PolySystem.jet``). A :class:`PolyMatrix` is a grid of polynomials, such
+as the symbolic Jacobian that ``DeflatedSystem.expand`` builds for export.
 
 A polynomial holds one term map, ``terms``, whose iteration order is graded
 lexicographic (total degree, then exponents): evaluation sums in that
@@ -31,9 +31,10 @@ added term would make a long sum quadratic in its length.
 
 Every evaluation takes its powers from a table built per call by repeated
 squaring, and sums, from 0j in term order, each coefficient times its powers
-in variable order. A value alone is read from the term maps. ``PolySystem.jet``
-reads the derivatives from flat term lists built once per system, with the
-coefficients and order that symbolic differentiation would give.
+in variable order. ``PolySystem.jet(point, orders)`` returns the value with
+the first ``orders`` derivatives: a value alone (orders 0) is read from the
+term maps, and the others from flat term lists built once per system, with
+the coefficients and order that symbolic differentiation would give.
 
 The parser reads the equations through compiled regexes: one match takes a
 run of simple factors (numbers, complex literals such as ``(1.5-0.5i)`` and
@@ -354,9 +355,6 @@ class Polynomial:
             [(exps[:j] + (exps[j] - 1,) + exps[j + 1:], c * exps[j])
              for exps, c in self.terms.items() if exps[j]]), canonical=True)
 
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        return _value(self.terms, _power_table(check_point(point, self.nvars), self.degree))
-
     def shift(self, center: Sequence[complex]) -> "Polynomial":
         """Recenter: return q with q(u) = p(u + center), same variables.
 
@@ -517,12 +515,6 @@ class PolySystem:
     def __hash__(self):
         return hash((self.var_names, self.equations))
 
-    @property
-    def jacobian_matrix(self) -> PolyMatrix:
-        """The symbolic Jacobian, built on each call, for export."""
-        return PolyMatrix([[p.differentiate(j) for j in range(self.nvars)]
-                           for p in self.equations])
-
     def _term_lists(self, orders: int) -> list:
         """The term lists of orders 0 .. ``orders``, each built once (``_order``):
         one per equation, then one per entry of J (row by row), then of D^m J at
@@ -545,10 +537,11 @@ class PolySystem:
                                       for k in range(size))))
         return lists
 
-    def jet(self, point, orders: int, value: bool):
-        """``(F, [J, D J, .., D^(orders - 1) J])`` at the checked vector ``point``,
-        F None unless ``value``; D^m J[a_1, .., a_m] (shape (nvars,) * m + (neqs,
-        nvars)) is J differentiated by x_(a_1) .. x_(a_m). Orders 0 build no list."""
+    def jet(self, point, orders: int):
+        """``(F, [J, D J, .., D^(orders - 1) J])`` at the checked vector ``point``;
+        D^m J[a_1, .., a_m] (shape (nvars,) * m + (neqs, nvars)) is J
+        differentiated by x_(a_1) .. x_(a_m). Orders 0 build no list: F alone
+        is summed from the term maps."""
         table = _power_table(point, self.degree)
         if not orders:
             return np.array([_value(p.terms, table) for p in self.equations],
@@ -557,17 +550,17 @@ class PolySystem:
         tensors = [np.array(_values(lists[m + 1], table), dtype=complex)
                    .reshape(-1, self.neqs, self.nvars)[_derivative_layout(self.nvars, m)[1]]
                    for m in range(orders)]
-        return np.array(_values(lists[0], table), dtype=complex) if value else None, tensors
+        return np.array(_values(lists[0], table), dtype=complex), tensors
 
     def value_at(self, point: Sequence[complex]) -> np.ndarray:
-        return self.jet(check_point(point, self.nvars), 0, True)[0]
+        return self.jet(check_point(point, self.nvars), 0)[0]
 
     def jacobian_at(self, point: Sequence[complex]) -> np.ndarray:
-        return self.jet(check_point(point, self.nvars), 1, False)[1][0]
+        return self.value_and_jacobian(point)[1]
 
     def value_and_jacobian(self, point: Sequence[complex]):
         """``(value_at(point), jacobian_at(point))`` from one power table."""
-        value, tensors = self.jet(check_point(point, self.nvars), 1, True)
+        value, tensors = self.jet(check_point(point, self.nvars), 1)
         return value, tensors[0]
 
     @property

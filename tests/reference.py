@@ -182,7 +182,7 @@ def matrix_value(matrix: PolyMatrix, point, cache) -> np.ndarray:
 
 
 def reference_jet(system: PolySystem, point, orders: int, matrices=None):
-    """``PolySystem.jet(point, orders, True)`` by the reference evaluator,
+    """``PolySystem.jet(point, orders)`` by the reference evaluator,
     with one power cache for the whole call; ``matrices`` may carry the
     symbolic matrices from call to call."""
     point = np.asarray(point, dtype=complex)

@@ -380,7 +380,11 @@ def test_out_of_range_options_are_one_line_errors(tmp_path, capsys, argv, messag
 
 
 @pytest.mark.parametrize("flag", ["--point", "--points", "--reference"])
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("value", [
+    "NaN", "Infinity", "-Infinity",
+    # integers beyond the float range, and beyond Python's 4300-digit int limit
+    pytest.param("1" + "0" * 400, id="401-digit-integer"),
+    pytest.param("1" + "0" * 4999, id="5000-digit-integer")])
 def test_non_finite_points_are_one_line_errors(tmp_path, capsys, flag, value):
     bad = tmp_path / "bad.json"
     if flag == "--points":

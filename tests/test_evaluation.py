@@ -13,6 +13,7 @@ soon as an operation order changes.
 import numpy as np
 import pytest
 
+from polydeflate import deflate
 from polydeflate.polysys import parse_system
 
 from conftest import load_fixture
@@ -36,7 +37,7 @@ def assert_jet_has_reference_bits(system, seed):
     matrices = {}
     for scale in (1e-3, 1.0, 7.0):
         point = scale * (rng.normal(size=system.nvars) + 1j * rng.normal(size=system.nvars))
-        value, tensors = system.jet(point, cut, True)
+        value, tensors = system.jet(point, cut)
         ref_value, ref_tensors = reference_jet(system, point, cut, matrices)
         assert same_bits(value, ref_value)
         assert len(tensors) == cut
@@ -63,8 +64,18 @@ def test_jet_has_reference_bits_on_ladders(d):
     assert_jet_has_reference_bits(parse_system(f"2\nx y\nx;\ny^{d};\n"), seed=d)
 
 
+def test_jet_has_reference_bits_on_expanded_bench9():
+    # the many-variable shape of --emit-deflated output solved again
+    base = load_fixture("bench9.ps")
+    deflated, _ = deflate.deflate_once(base, np.zeros(base.nvars), rng_seed=deflate.DEFAULT_SEED)
+    expanded = deflated.expand()
+    assert (expanded.nvars, expanded.neqs) == (17, 19)
+    assert sum(len(p.terms) for p in expanded.equations) == 457
+    assert_jet_has_reference_bits(expanded, seed=17)
+
+
 def test_jet_without_orders_builds_no_list():
     system = load_fixture("cubic_trio.ps")
-    value, tensors = system.jet(np.array([0.5, 2j]), 0, True)
+    value, tensors = system.jet(np.array([0.5, 2j]), 0)
     assert tensors == [] and system._lists is None
     assert same_bits(value, reference_jet(system, [0.5, 2j], 0)[0])

@@ -8,7 +8,7 @@ import pytest
 
 from polydeflate import linalg, oracle
 
-from reference import kernel_vector
+from reference import derivative_matrix, kernel_vector
 
 
 def reconstruct(decomp):
@@ -115,7 +115,7 @@ def test_numerical_rank_thresholding():
 
 
 def test_numerical_rank_zero_matrix(cubic_trio):
-    jac_at_origin = cubic_trio.jacobian_matrix.evaluate([0.0, 0.0])
+    jac_at_origin = derivative_matrix(cubic_trio, (), {}).evaluate([0.0, 0.0])
     decomp = linalg.svd(jac_at_origin)
     rank = linalg.numerical_rank(decomp.sigma, 1e-8)
     assert rank == 0
