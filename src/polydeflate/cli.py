@@ -159,9 +159,9 @@ def _parse_point(data, expected, origin):
         raise CliError(1, f"{origin}: expected a JSON array of [re, im] pairs")
     values = []
     for entry in data:
-        # type, not isinstance: JSON true and false load as bool, an int subclass
+        # JSON integers load as floats (``_load_json``), and true and false as bool
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(type(v) in (int, float) for v in entry)):
+                or not all(isinstance(v, float) for v in entry)):
             raise CliError(1, f"{origin}: expected a JSON array of [re, im] pairs")
         if not all(map(math.isfinite, entry)):
             raise CliError(1, f"{origin}: coordinate {len(values) + 1} is not finite")

@@ -34,11 +34,12 @@ G(K, []) = J_K and gives each request its children one level down: the top
 child on p, the child with B mu prepended, and the m children with slot i
 replaced by B q_i. Requests are grouped by their order m. Their directions
 are rows of a pool of vectors that takes three array operations per level
-to form. Which rows each request uses, and where its children sit, depend
-on the level count and the degree cut only, so they are planned once for
-all systems that share the two. A request of order m at or above the base
-system's total degree is dropped, since D^m J_0 = 0 there (order 0 is
-always kept). At the base, one ``jet`` gives F_0 and each tensor D^m J_0,
+to form, and the plan lists each request as the tuple of its rows. Which
+rows each request uses, and where its children sit, depend on the level
+count and the degree cut only, so they are planned once for all systems
+that share the two. A request of order m at or above the base system's
+total degree is dropped, since D^m J_0 = 0 there (order 0 is always
+kept). At the base, one ``jet`` gives F_0 and each tensor D^m J_0,
 contracted with all requests of order m together; the bottom-up sweep then
 builds each level's blocks for all its requests at once, adding the mid
 terms in the formula's order (B mu first, then slot 1, 2, ...). A pass,
@@ -236,8 +237,7 @@ class DeflatedSystem:
                 raise ExpansionTooLargeError(f"expanding stage {k} could give {bound} terms, "
                                              f"above the cap of {EXPAND_TERM_CAP}")
             n_out = stage.nvars_out
-            prefix = list(range(n_prev))
-            lifted = [p.embed(n_out, prefix) for p in equations]
+            lifted = [p.embed(n_out) for p in equations]
             # the level's symbolic Jacobian, from its own equations, times B
             combined = PolyMatrix([[p.differentiate(j) for j in range(n_prev)]
                                    for p in equations]).right_multiply(stage.mix)
@@ -280,54 +280,48 @@ def _sweep_plan(levels: int, cut: int):
     sizes, so one plan serves every system with those two; its arrays are
     read-only.
     """
-    # Top-down. At each level the requests are ordered by their order m.
-    # One level down, order m holds the B mu children of the order m - 1
-    # requests, then the top child of each order m request, then its m
-    # children with slot i set to B q_i. If the upper level's pool has P
-    # rows, row i of the lower pool is the low part of row i, row P + i
-    # the B q of it and row 2P the stage's B mu.
-    groups = [np.empty((1, 0), dtype=np.intp)]
+    # Top-down. A request is the tuple of its directions' pool rows, and at
+    # each level the requests are ordered by their order m. One level down,
+    # order m holds the B mu children of the order m - 1 requests, then the
+    # top child of each order m request, then its m children with slot i set
+    # to B q_i. If the upper level's pool has P rows, row i of the lower
+    # pool is the low part of row i, row P + i the B q of it and row 2P the
+    # stage's B mu.
+    groups = [[()]]
     links = []
     size = 0
     for _ in range(levels - 1):
-        counts = [len(dirs) for dirs in groups] + [0]   # counts[-1]: none
-        below, tops, mus, slots = [], [], [], []
+        below, tops, mus = [], [], []
+        slots = [[] for _ in groups[1:]]   # slots[i]: the slot-i children, in request order
         at = 0
         for m in range(min(len(groups) + 1, cut)):
-            before, count = counts[m - 1], counts[m]
-            block = np.empty((before + (m + 1) * count, m), dtype=np.intp)
-            if before:
-                block[:before, 0] = 2 * size
-                block[:before, 1:] = groups[m - 1]
-                mus.append(at + np.arange(before))
-            if count:
-                dirs = groups[m]
-                block[before:before + count] = dirs
-                replaced = block[before + count:].reshape(count, m, m)
-                replaced[:] = dirs[:, np.newaxis]
-                replaced.reshape(count, m * m)[:, ::m + 1] = dirs + size
-                tops.append(at + before + np.arange(count))
-                # row j, column i: the child of request j with slot i set
-                slots.append(at + before + count + np.arange(count * m).reshape(count, m))
+            block = [(2 * size,) + dirs for dirs in groups[m - 1]] if m else []
+            mus += range(at, at + len(block))
+            kept = groups[m] if m < len(groups) else []
+            tops += range(at + len(block), at + len(block) + len(kept))
+            block += kept
+            for dirs in kept:
+                for i in range(m):
+                    slots[i].append(at + len(block))
+                    block.append(dirs[:i] + (dirs[i] + size,) + dirs[i + 1:])
             below.append(block)
             at += len(block)
         # requests with a slot i are those of order above i, a suffix
-        by_slot = [(sum(counts[:i + 1]), _index([part[:, i] for part in slots[i + 1:]]))
-                   for i in range(len(groups) - 1)]
+        by_slot = [(sum(map(len, groups[:i + 1])), _index(part)) for i, part in enumerate(slots)]
         links.append((_index(tops), _index(mus), by_slot))
         groups = below
         size = 2 * size + 1
-    for dirs in groups:
+    arrays = tuple(np.array(dirs, dtype=np.intp) for dirs in groups)
+    for dirs in arrays:
         dirs.flags.writeable = False
-    return tuple(groups), tuple(reversed(links))
+    return arrays, tuple(reversed(links))
 
 
-def _index(parts):
-    """The concatenated index arrays ``parts``: a slice when contiguous, else
-    a read-only array."""
-    index = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-    if len(index) and np.array_equal(index, np.arange(index[0], index[0] + len(index))):
-        return slice(int(index[0]), int(index[0]) + len(index))
+def _index(positions):
+    """The list ``positions`` as a slice when contiguous, else a read-only array."""
+    if positions and positions == list(range(positions[0], positions[0] + len(positions))):
+        return slice(positions[0], positions[0] + len(positions))
+    index = np.array(positions, dtype=np.intp)
     index.flags.writeable = False
     return index
 

@@ -25,9 +25,11 @@ that are valid by construction and go through ``Polynomial._trusted``,
 which skips those checks. The checked path sums repeated monomials and then
 finishes as ``_trusted`` does, through ``_canonical``: it cleans the
 coefficients (``_clean``: drops tiny ones, makes zero parts positive) and
-orders the terms. Sums (a parsed polynomial, a row times a matrix column)
-are accumulated in one dictionary and constructed once: building one per
-added term would make a long sum quadratic in its length.
+orders the terms. ``differentiate`` lowers one exponent and ``embed`` pads
+every exponent tuple with zeros; both keep graded order, so they only
+clean or copy and do not sort. Sums (a parsed polynomial, a row times a
+matrix column) are accumulated in one dictionary and constructed once:
+building one per added term would make a long sum quadratic in its length.
 
 Every evaluation takes its powers from a table built per call by repeated
 squaring, and sums, from 0j in term order, each coefficient times its powers
@@ -207,7 +209,9 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
 def _pow_terms(terms: dict, exponent: int, nvars: int) -> dict:
     """Clean ``terms`` to a nonnegative power by repeated squaring, every
-    product cleaned."""
+    product cleaned. A square with a coefficient that is not finite is
+    returned as it is: the power would not be finite either, and squaring on
+    would only grow the work."""
     result = {(0,) * nvars: 1 + 0j}
     while exponent:
         if exponent & 1:
@@ -215,6 +219,8 @@ def _pow_terms(terms: dict, exponent: int, nvars: int) -> dict:
         exponent >>= 1
         if exponent:
             terms = _clean(_mul_terms(terms, terms).items())
+            if not all(map(cmath.isfinite, terms.values())):
+                return terms
     return result
 
 
@@ -378,17 +384,14 @@ class Polynomial:
                 out[key] = out.get(key, 0j) + val
         return Polynomial._trusted(self.nvars, out)
 
-    def embed(self, nvars_new: int, positions: Sequence[int]) -> "Polynomial":
-        """Reinterpret in a larger variable space; positions maps old->new index."""
-        if len(positions) != self.nvars:
-            raise ValueError("positions must list one target index per variable")
-        out = {}
-        for exps, c in self.terms.items():
-            key = [0] * nvars_new
-            for j, e in enumerate(exps):
-                key[positions[j]] = e
-            out[tuple(key)] = c
-        return Polynomial._trusted(nvars_new, out)
+    def embed(self, nvars_new: int) -> "Polynomial":
+        """The same polynomial in ``nvars_new`` variables, the added ones last:
+        each exponent tuple is padded with zeros, which keeps graded order."""
+        if nvars_new < self.nvars:
+            raise ValueError(f"cannot embed {self.nvars} variables in {nvars_new}")
+        pad = (0,) * (nvars_new - self.nvars)
+        return Polynomial._trusted(nvars_new, {exps + pad: c for exps, c in self.terms.items()},
+                                   canonical=True)
 
     # -- printing ----------------------------------------------------------
 

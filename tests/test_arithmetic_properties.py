@@ -84,8 +84,9 @@ def test_differentiate_shift_embed(pair, data):
     assert_as_if_checked(a.shift(center))
     assert_as_if_checked(a.shift(np.asarray(center)))
     extra = data.draw(st.integers(0, 2))
-    positions = data.draw(st.permutations(range(n + extra)))[:n]
-    assert_as_if_checked(a.embed(n + extra, positions))
+    assert_as_if_checked(a.embed(n + extra))
+    with pytest.raises(ValueError, match="cannot embed"):
+        a.embed(n - 1)
 
 
 @checked

@@ -465,12 +465,21 @@ def test_sweeps_match_recursion_near_the_origin(name, rank_tol):
     assert_matches_recursion(random_stages(load_fixture(name), ranks))
 
 
-def test_request_count_is_the_recursions_call_count():
-    """{x, y^7} at six stages: Bell(7) = 877 base requests, none cut."""
-    current = random_stages(ladder(7), LADDER_RANKS[7])
-    groups, links = deflate._sweep_plan(len(current.stages) + 1, current._cut)
-    assert [len(dirs) for dirs in groups] == [1, 63, 301, 350, 140, 21, 1]
-    assert len(links) == 6
+@pytest.mark.parametrize("levels", range(1, 10))
+def test_request_count_is_the_recursions_call_count(levels):
+    """With no degree cut, a pass over ``levels`` systems makes S(levels, m + 1)
+    base requests of order m (Stirling numbers of the second kind), Bell(levels)
+    in all; {x, y^7} at six stages makes Bell(7) = 877."""
+    stirling = [1]   # S(n, 0) .. S(n, n), from S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    for n in range(1, levels + 1):
+        stirling = [k * a + b for k, a, b in zip(range(n + 1), stirling + [0], [0] + stirling)]
+    groups, links = deflate._sweep_plan(levels, levels)
+    assert [len(dirs) for dirs in groups] == stirling[1:]
+    assert len(links) == levels - 1
+    if levels == 7:
+        current = random_stages(ladder(7), LADDER_RANKS[7])
+        groups, _ = deflate._sweep_plan(len(current.stages) + 1, current._cut)
+        assert [len(dirs) for dirs in groups] == [1, 63, 301, 350, 140, 21, 1]
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])

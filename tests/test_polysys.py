@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,15 @@ def test_values_beyond_the_float_range_are_parse_errors(body, column, message):
         parse_system(f"2\nx\nx;\n{body}\n")
     assert (err.value.line, err.value.column) == (4, column)
     assert str(err.value) == f"line 4, column {column}: {message}"
+
+
+def test_a_power_stops_at_its_first_square_out_of_range():
+    # (x+1)^2048 overflows; squaring on to (x+1)^16384 took over 40 s
+    begin = time.perf_counter()
+    with pytest.raises(ParseError, match="^line 4, column 1: polynomial has a coefficient "
+                                         "out of range$"):
+        parse_system("2\nx\nx;\n(x+1)^20000;\n")
+    assert time.perf_counter() - begin < 5.0
 
 
 def test_syntax_errors_are_reported_before_values_out_of_range():
