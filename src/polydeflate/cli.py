@@ -12,8 +12,11 @@ Exit codes: 0 on success, 1 for unusable input (bad flags, files that
 cannot be read or are not UTF-8 text, parse errors), 2 when the computation did not reach its goal
 (no convergence, divergence, deflation requested at a regular point
 or at one where the Jacobian overflows, an expanded system for
-``--emit-deflated`` or ``deflate`` above ``deflate.EXPAND_TERM_CAP`` terms),
-3 when the multiplicity search did not stabilize.
+``--emit-deflated`` or ``deflate`` above ``deflate.EXPAND_TERM_CAP`` terms,
+or memory running out, say for the table of every power of x up to a
+degree of 10^9: one ``error: out of memory`` line, printed once the
+traceback has let the memory go), 3 when the multiplicity search did not
+stabilize.
 
 Reports are written with a fixed key order and 17 significant digits,
 so two runs with the same inputs and seed produce identical bytes
@@ -343,15 +346,17 @@ def main(argv=None) -> int:
             return args.func(args)
     except _UsageError as err:
         print(err.parser.format_usage(), end="", file=sys.stderr)
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        message, code = str(err), 1
     except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
+        message, code = str(err), err.code
     except (deflate.RegularPointError, deflate.NonFiniteJacobianError,
             deflate.ExpansionTooLargeError) as err:   # deflate, or --emit-deflated's expansion
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        message, code = str(err), 2
+    except MemoryError:
+        # printed below, once the traceback and the memory its frames hold are let go
+        message, code = "out of memory", 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

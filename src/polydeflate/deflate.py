@@ -43,7 +43,9 @@ kept). At the base, one ``jet`` gives F_0 and each tensor D^m J_0,
 contracted with all requests of order m together; the bottom-up sweep then
 builds each level's blocks for all its requests at once, adding the mid
 terms in the formula's order (B mu first, then slot 1, 2, ...). A pass,
-``_pass(z, levels)``, returns F_K with J_0 .. J_(levels-1): one over all
+``_pass(z, levels)``, returns F_K with J_0 .. J_(levels-1), writing F_K
+into one preallocated vector (F_0 first, then each stage's J_k B mu and
+a . mu - 1 below the rows of the level it extends): one over all
 K + 1 levels gives ``jacobian_at`` and ``value_and_jacobian``, and
 ``value_at`` stops below the top Jacobian. A system without stages runs no
 sweep and evaluates as its base system does.
@@ -204,11 +206,13 @@ class DeflatedSystem:
         value, tensors = self.base.jet(z[:self.base.nvars], min(levels, self._cut))
         mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in self.stages]
         jacobians = self._jacobians(tensors, mixed, levels)
-        pieces = [value]
-        for stage, jac, bmu in zip(self.stages, jacobians, mixed):
-            pieces.append(jac @ bmu)
-            pieces.append([stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0])
-        return np.concatenate(pieces), jacobians
+        # F_k fills the first neq_k rows of F_K; stage k + 1 writes the next neq_k + 1
+        out = np.empty(self.neqs, dtype=complex)
+        out[:len(value)] = value
+        for stage, jac, bmu, (_, neq) in zip(self.stages, jacobians, mixed, self.levels):
+            out[neq:2 * neq] = jac @ bmu
+            out[2 * neq] = stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0
+        return out, jacobians
 
     def value_at(self, z) -> np.ndarray:
         return self._pass(check_point(z, self.nvars), len(self.stages))[0]
@@ -370,7 +374,7 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
         if not np.isfinite(jacobian).all():
             raise NonFiniteJacobianError("Jacobian is not finite at the given point")
     if rank is None:
-        rank, _ = newton.read_rank([linalg.singular_values(jacobian)], rank_tol,
+        rank, _ = newton.read_rank([linalg.singular_values(jacobian).tolist()], rank_tol,
                                    newton.anchor_scale(current))
     if rank >= current.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
@@ -491,7 +495,7 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     inverse_condition_original = math.nan  # no rank to judge after divergence
     if np.isfinite(original_jac).all():
         inverse_condition_original = linalg.scaled_inverse_condition(
-            linalg.singular_values(original_jac), newton.anchor_scale(base))
+            linalg.singular_values(original_jac).tolist(), newton.anchor_scale(base))
     digits_final = None
     if reference is not None:
         digits_final = newton.correct_digits(prefix, reference)

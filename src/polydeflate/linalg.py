@@ -17,6 +17,13 @@ gelsd applies through its ``rcond``); the solver layer additionally uses the
 scale-anchored variants at the bottom of this module, which judge
 near-singular Jacobians against the coefficient scale of the system instead
 of against a leading singular value that itself vanishes toward the root.
+They read a spectrum as a Python list of floats, the one list a Newton
+iterate makes of it, not as an array.
+
+Each check of an input (its shape, the tolerance, finiteness) runs once per
+call; a matrix that is already a complex 2-D array is used as it is, and
+the QR path reads the full rank of its triangle without checking the
+tolerance again.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ class SvdResult:
 
 
 def _nonempty(matrix) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    """``matrix`` as a complex array, a ValueError unless it is a nonempty
+    matrix; a complex array is returned as it is, not copied or re-wrapped."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or not a.size:
         raise ValueError("svd needs a nonempty matrix")
     return a
 
@@ -61,9 +70,8 @@ def svd(matrix) -> SvdResult:
 
 def singular_values(matrix) -> np.ndarray:
     """Singular values of a complex matrix, descending, without U and V."""
-    a = _nonempty(matrix)
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(_nonempty(matrix), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(str(exc)) from exc
 
@@ -141,7 +149,8 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
     r = np.linalg.qr(np.column_stack([a, b]), mode="r")
     r, c = r[:cols, :cols], r[:cols, cols]
     sigma = singular_values(r)
-    if numerical_rank(sigma, tol) == cols:
+    # full rank by ``numerical_rank``: the least value lies above the cut
+    if sigma[-1] > tol * sigma[0]:
         # LU needs no row exchanges on a triangle: this is back substitution
         return sigma, np.linalg.solve(r, c)
     return sigma, _gelsd(r, c, tol)[1]
@@ -163,15 +172,15 @@ def scaled_rank(sigma, tol: float, scale: float) -> int:
     together, so a purely relative test keeps reporting full rank. Anchoring
     the threshold at the coefficient scale of the system separates singular
     values that vanish in the limit from those that stay of order one.
+    ``sigma`` is a nonempty descending list of floats, a spectrum's
+    ``tolist()``: on a handful of values Python's comparisons cost less than
+    a trip through numpy, and they compare the same doubles.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    leading = float(sigma[0]) if sigma.size else 0.0
-    return int(np.count_nonzero(sigma > tol * max(leading, scale)))
+    cut = tol * max(sigma[0], scale)
+    return len([s for s in sigma if s > cut])
 
 
 def scaled_inverse_condition(sigma, scale: float) -> float:
-    """sigma_min over max(sigma_1, scale); near 0 at a singular point."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0:
-        return 0.0
-    return float(sigma[-1] / max(float(sigma[0]), scale))
+    """sigma_min over max(sigma_1, scale); near 0 at a singular point.
+    ``sigma`` is a nonempty descending list, as for ``scaled_rank``."""
+    return sigma[-1] / max(sigma[0], scale)

@@ -29,6 +29,12 @@ all above 0.25. Convergence additionally requires that pattern to be absent,
 which keeps a shrinking-but-singular iteration from being misread as a
 regular solution just because the residual crossed the tolerance.
 
+Each iterate turns its singular values into one Python list and reads
+its rank, its inverse condition and the trend's history from that list;
+on a handful of values Python's float comparisons cost less than numpy's
+per-call overhead, and they compare the same doubles. The residual and
+step norms are taken by ``_norm``, which has ``np.linalg.norm``'s bits.
+
 Each iterate reads its corank once, through ``read_rank``; the stall rule,
 the convergence test, ``NewtonTrace.ranks`` and the rank handed on to
 deflation all use that one reading, and ``deflate.deflate_once`` reads a
@@ -147,6 +153,13 @@ def correct_digits(x, x_ref) -> float:
     return min(16.0, max(0.0, digits))
 
 
+def _norm(v) -> float:
+    """The 2-norm of the complex vector ``v`` by ``np.linalg.norm``'s own
+    formula, sqrt(re . re + im . im), so with its bits but not its dispatch."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _stall_pattern(steps) -> bool:
     if len(steps) < _STALL_WINDOW + 1:
         return False
@@ -190,10 +203,10 @@ def read_rank(history, tol: float, scale: float):
     """The rank of the last spectrum in ``history``, and the trend's fall count.
 
     ``history`` holds the descending singular values of up to the last three
-    iterates, oldest first. The rank is the smaller of the scaled cut
-    (``linalg.scaled_rank``) and the size less the trend's kernel (module
-    docstring); with fewer than three spectra there is no trend, and it is
-    the scaled cut alone. Returns (rank, falling), ``falling`` counting the
+    iterates, oldest first, each as a Python list. The rank is the smaller
+    of the scaled cut (``linalg.scaled_rank``) and the size less the trend's
+    kernel (module docstring); with fewer than three spectra there is no
+    trend, and it is the scaled cut alone. Returns (rank, falling), ``falling`` counting the
     trailing values that fall, in the kernel or not.
     """
     falling, kernel = _trend(history, math.sqrt(tol) * scale)
@@ -214,7 +227,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
 
     for iteration in range(opts.max_iterations + 1):
         fx, jac = system.value_and_jacobian(x)
-        residual = float(np.linalg.norm(fx))
+        residual = _norm(fx)
         try:
             sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
         except linalg.SvdConvergenceError:
@@ -223,8 +236,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         history.append(sigma.tolist())
         rank, falling = read_rank(history, opts.rank_tol, scale)
         corank = ncols - rank
-        trace.record(x, residual, rank,
-                     linalg.scaled_inverse_condition(sigma, scale))
+        trace.record(x, residual, rank, linalg.scaled_inverse_condition(history[-1], scale))
 
         stall = _stall_pattern(trace.steps)
         corank_stable = (
@@ -244,7 +256,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             status = STALLED_SINGULAR if singular else MAX_ITER
             break
 
-        step = float(np.linalg.norm(dx))
+        step = _norm(dx)
         x = x - dx
         trace.steps.append(step)
         if step <= _STEP_TOL:

@@ -25,6 +25,13 @@
   is checked.
 * ``cumprod_trend``: the corank trend of ``newton`` as array operations,
   against which the scan of ``newton._trend`` is checked.
+* ``array_scaled_rank``, ``array_scaled_inverse_condition`` and
+  ``array_read_rank``: the rank readings as numpy array operations, the form
+  they had before they read the Python list a Newton iterate makes of its
+  spectrum; the list forms must give the same results.
+* ``concatenated_value``: F_K of a ``DeflatedSystem`` as its pass built it
+  before writing it in place, one ``np.concatenate`` of the base value and
+  each stage's pieces; the in-place value must have its bytes.
 * ``step_ratios``: the ratios of consecutive Newton step lengths, in which
   linear and quadratic convergence show.
 * ``dual_nullity_at_order``: the nullity of one order's Macaulay matrix,
@@ -32,6 +39,7 @@
   ``oracle.multiplicity`` is checked.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -104,7 +112,7 @@ def symbolic_deflation(system: PolySystem, x0, rank_tol: float = 1e-8) -> PolySy
     x0 = np.asarray(x0, dtype=complex)
     decomp = linalg.svd(system.jacobian_at(x0))
     scale = max(1.0, system.coefficient_scale)
-    rank = linalg.scaled_rank(decomp.sigma, rank_tol, scale)
+    rank = linalg.scaled_rank(decomp.sigma.tolist(), rank_tol, scale)
     if rank >= system.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
     direction = kernel_vector(decomp, rank)
@@ -293,6 +301,46 @@ def cumprod_trend(history, ceiling: float):
     falling = ((new <= _TREND_FALL * old) & (old <= _TREND_FALL * older))[::-1]
     kernel = falling & (new[::-1] <= ceiling)
     return int(np.cumprod(falling).sum()), int(np.cumprod(kernel).sum())
+
+
+def array_scaled_rank(sigma, tol: float, scale: float) -> int:
+    """``linalg.scaled_rank`` by numpy: the values above ``tol * max(sigma_1, scale)``."""
+    sigma = np.asarray(sigma, dtype=float)
+    leading = float(sigma[0]) if sigma.size else 0.0
+    return int(np.count_nonzero(sigma > tol * max(leading, scale)))
+
+
+def array_scaled_inverse_condition(sigma, scale: float) -> float:
+    """``linalg.scaled_inverse_condition`` by numpy: sigma_min over max(sigma_1, scale)."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.size == 0:
+        return 0.0
+    return float(sigma[-1] / max(float(sigma[0]), scale))
+
+
+def array_read_rank(history, tol: float, scale: float):
+    """``newton.read_rank`` by numpy: the smaller of the scaled cut and the size
+    less the trend's kernel, with the trend's fall count."""
+    falling, kernel = cumprod_trend(history, math.sqrt(tol) * scale)
+    sigma = history[-1]
+    return min(array_scaled_rank(sigma, tol, scale), len(sigma) - kernel), falling
+
+
+def concatenated_value(system, z, levels: int):
+    """F_K of a ``DeflatedSystem`` at ``z`` from a pass over ``levels`` levels
+    (``DeflatedSystem._pass``): the base value, then per stage J_k B mu and
+    [a . mu - 1], joined by one ``np.concatenate``."""
+    z = np.asarray(z, dtype=complex)
+    if not system.stages:
+        return system.base.jet(z, levels)[0]
+    value, tensors = system.base.jet(z[:system.base.nvars], min(levels, system._cut))
+    mixed = [stage.mix @ z[stage.nvars_prev:stage.nvars_out] for stage in system.stages]
+    jacobians = system._jacobians(tensors, mixed, levels)
+    pieces = [value]
+    for stage, jac, bmu in zip(system.stages, jacobians, mixed):
+        pieces.append(jac @ bmu)
+        pieces.append([stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0])
+    return np.concatenate(pieces)
 
 
 def step_ratios(steps):

@@ -1,11 +1,16 @@
 """End-to-end tests of the command line interface.
 
-Every test drives ``cli.main`` in-process with explicit argv lists and
-checks exit codes, report contents, and the error channel.
+Every test but one drives ``cli.main`` in-process with explicit argv lists
+and checks exit codes, report contents, and the error channel. The one that
+runs out of memory runs ``python -m polydeflate.cli`` in a child process,
+so that only the child's address space is capped.
 """
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -509,4 +514,35 @@ def test_deflate_above_the_term_cap_exits_two(tmp_path, capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: expanding stage 1 could give 4 terms, above the cap of 3\n"
+    assert not out.exists()
+
+
+# enough address space to start Python and import numpy, too little for the
+# table of every power of x up to 10^9, which the child meets in a few seconds
+MEMORY_CAP = 512 * 2 ** 20
+
+
+def test_running_out_of_memory_is_a_one_line_error_exit_two(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux") or not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("capping a child's address space needs Linux's RLIMIT_AS")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < MEMORY_CAP:
+        pytest.skip("the address space is already capped below the test's cap")
+    system = tmp_path / "huge.ps"
+    system.write_text("1\nx\nx^1000000000 - 1;\n")
+    start = point_file(tmp_path, "p.json", [0.9])
+    out = tmp_path / "r.json"
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():   # runs in the child only, before it starts Python
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "polydeflate.cli", "solve", "--system", str(system),
+         "--point", start, "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env, preexec_fn=cap)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
     assert not out.exists()

@@ -16,8 +16,8 @@ from polydeflate.deflate import DeflatedSystem, DeflationStage, RegularPointErro
 from polydeflate.polysys import PolySystem, format_system, parse_system
 
 from conftest import load_fixture
-from reference import (compose_system_linear, evaluate, recursive_jacobians, recursive_value,
-                       symbolic_deflation, unique_layout)
+from reference import (compose_system_linear, concatenated_value, evaluate, recursive_jacobians,
+                       recursive_value, symbolic_deflation, unique_layout)
 
 FIXTURE_ROOTS = [
     ("square.ps", 1, 2),
@@ -215,7 +215,7 @@ def test_stacked_system_regular_for_almost_all_seeds(name, nvars, m):
     system = load_fixture(name)
     jac = system.jacobian_at(np.zeros(nvars))
     decomp = linalg.svd(jac)
-    rank = linalg.scaled_rank(decomp.sigma, 1e-8, max(1.0, system.coefficient_scale))
+    rank = linalg.scaled_rank(decomp.sigma.tolist(), 1e-8, max(1.0, system.coefficient_scale))
     full = 0
     for seed in range(100):
         rng = rng_for(seed)
@@ -463,6 +463,34 @@ def test_sweeps_match_recursion_at_the_origin(name):
 def test_sweeps_match_recursion_near_the_origin(name, rank_tol):
     ranks = NEAR_ORIGIN_RANKS[name, rank_tol]
     assert_matches_recursion(random_stages(load_fixture(name), ranks))
+
+
+def assert_value_is_the_concatenation(system, seed=67):
+    """The value F_K written in place has the bytes of the concatenated
+    pieces from the same pass, for the system and for each shorter stack on
+    its base. ``value_at`` passes over K levels and ``value_and_jacobian``
+    over K + 1, whose lower Jacobians may differ in the last bits."""
+    rng = rng_for(seed)
+    for k in range(len(system.stages) + 1):
+        prefix = DeflatedSystem(system.base, system.stages[:k])
+        for _ in range(3):
+            point = random_point(rng, prefix.nvars)
+            assert (prefix.value_at(point).tobytes()
+                    == concatenated_value(prefix, point, k).tobytes())
+            assert (prefix.value_and_jacobian(point)[0].tobytes()
+                    == concatenated_value(prefix, point, k + 1).tobytes())
+
+
+@pytest.mark.parametrize("rank_tol", [1e-2, 0.5])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_value_in_place_is_the_concatenation_on_fixtures(name, rank_tol):
+    assert_value_is_the_concatenation(
+        random_stages(load_fixture(name), NEAR_ORIGIN_RANKS[name, rank_tol]))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_value_in_place_is_the_concatenation_on_ladders(d):
+    assert_value_is_the_concatenation(random_stages(ladder(d), LADDER_RANKS[d]))
 
 
 @pytest.mark.parametrize("levels", range(1, 10))
@@ -806,6 +834,24 @@ def test_near_root_pool_entry_25_ends_off_the_root():
     assert report.status == newton.CONVERGED_REGULAR
     assert report.corank_sequence == [1, 0]
     assert 3.03e-5 <= np.linalg.norm(report.solution[:2]) <= 3.05e-5
+
+
+def test_deep_ladder_pool_entry_19_stalls_at_the_cap():
+    # The one deep-ladder pool entry the benchmark fails (cap_hit), pinned
+    # as it is: {x, y^7} from 1e-3 off the root ends stalled_singular after
+    # its six stages, at 128 variables with corank 1 before and after every
+    # stage, while its base coordinates already lie within 1e-40 of the
+    # root; the solve takes about 0.1 s. A kernel value that falls from
+    # above a steady one (ROADMAP item 1b) keeps the 64-variable stage
+    # crawling. Item 1 will flip this test to convergence.
+    start = [-6.645967323146686e-04-3.0991435222868556e-05j,
+             -6.469878673889941e-04-3.7250156213220506e-04j]
+    report = deflate.deflate_loop(ladder(7), start, seed=434039328, max_stages=6)
+    assert report.status == newton.STALLED_SINGULAR
+    assert report.deflations == 6
+    assert report.corank_sequence == [1] * 7
+    assert report.deflated.nvars == 128
+    assert np.linalg.norm(report.solution[:2]) <= 1e-40
 
 
 @pytest.mark.parametrize("seed", range(3))

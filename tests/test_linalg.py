@@ -84,6 +84,17 @@ def test_singular_values_errors():
         linalg.singular_values(bad)
 
 
+def test_a_complex_matrix_is_used_as_it_is_and_no_other_shape_is():
+    a = np.ones((3, 2), dtype=complex)
+    assert linalg._nonempty(a) is a
+    assert linalg._nonempty(np.ones((3, 2))).dtype == complex
+    for bad in (np.ones(3), np.ones((2, 2, 2)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="nonempty matrix"):
+            linalg.singular_values(bad)
+        with pytest.raises(ValueError, match="nonempty matrix"):
+            linalg.truncated_least_squares(bad, np.ones(len(bad)))
+
+
 def test_svd_random_suite():
     rng = np.random.default_rng(2024)
     for trial in range(200):
@@ -119,7 +130,7 @@ def test_numerical_rank_zero_matrix(cubic_trio):
     decomp = linalg.svd(jac_at_origin)
     rank = linalg.numerical_rank(decomp.sigma, 1e-8)
     assert rank == 0
-    assert linalg.scaled_inverse_condition(decomp.sigma, 1.0) == 0.0
+    assert linalg.scaled_inverse_condition(decomp.sigma.tolist(), 1.0) == 0.0
     corank = decomp.cols - rank
     assert corank == 2
 
@@ -283,20 +294,18 @@ def test_rank_matches_exact_on_integer_matrices():
 def test_scaled_rank_sees_through_a_vanishing_jacobian():
     # both singular values shrink toward the root; the relative rule keeps
     # saying full rank while the anchored rule reports the limit corank
-    sigma = np.array([2e-9, 1.3e-9])
+    sigma = [2e-9, 1.3e-9]
     assert linalg.scaled_rank(sigma, 1e-8, 1.0) == 0
     assert linalg.numerical_rank(
-        linalg.SvdResult(np.eye(2), sigma, np.eye(2), 2, 2).sigma, 1e-8
+        linalg.SvdResult(np.eye(2), np.array(sigma), np.eye(2), 2, 2).sigma, 1e-8
     ) == 2
-    mixed = np.array([2.0, 3e-9])
+    mixed = [2.0, 3e-9]
     assert linalg.scaled_rank(mixed, 1e-8, 1.0) == 1
 
 
 def test_scaled_inverse_condition_floor():
-    assert linalg.scaled_inverse_condition(np.array([0.5, 1e-12]), 1.0) \
-        == pytest.approx(1e-12)
-    assert linalg.scaled_inverse_condition(np.array([4.0, 2.0]), 1.0) \
-        == pytest.approx(0.5)
+    assert linalg.scaled_inverse_condition([0.5, 1e-12], 1.0) == pytest.approx(1e-12)
+    assert linalg.scaled_inverse_condition([4.0, 2.0], 1.0) == pytest.approx(0.5)
 
 
 def test_agreement_shapes_straddle_the_qr_cut():

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from polydeflate import linalg, newton
 from polydeflate.polysys import parse_system
 
-from reference import cumprod_trend, step_ratios
+from reference import (array_read_rank, array_scaled_inverse_condition, array_scaled_rank,
+                       cumprod_trend, step_ratios)
 
 
 @pytest.fixture
@@ -159,6 +161,52 @@ def spectra(draw):
 def test_trend_scan_matches_the_cumprod_counts(history, ceiling):
     assert newton._trend(history, ceiling) == cumprod_trend(history, ceiling)
     assert newton._trend(history[1:], ceiling) == (0, 0)
+
+
+# subnormal singular values: the least, one mid-range and the greatest
+SUBNORMALS = [5e-324, 1e-310, 2.225073858507201e-308]
+SPECTRUM_VALUES = st.one_of(st.sampled_from(EDGES + SUBNORMALS + [1e-8, 2e-8]),
+                            st.floats(0.0, 2.0), st.floats(0.0, 1e-300))
+
+
+@st.composite
+def histories(draw):
+    """One to three descending spectra of one size from 1 to 20, as lists."""
+    size = draw(st.integers(1, 20))
+    return [sorted(draw(st.lists(SPECTRUM_VALUES, min_size=size, max_size=size)), reverse=True)
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(histories(), st.sampled_from([1e-8, 1e-2, 0.5]), st.sampled_from([1.0, 3.5, 1e8]))
+@example([[0.0, 0.0, 0.0]], 1e-8, 1.0)
+@example([[1.0, 1e-8, 1e-8, 5e-324]], 1e-8, 1.0)
+def test_list_rank_readings_match_their_array_forms(history, tol, scale):
+    # ties and zeros meet the cut's comparison with equality; the inverse
+    # condition must match bit for bit, which hex() shows
+    sigma = history[-1]
+    assert linalg.scaled_rank(sigma, tol, scale) == array_scaled_rank(sigma, tol, scale)
+    assert (linalg.scaled_inverse_condition(sigma, scale).hex()
+            == array_scaled_inverse_condition(sigma, scale).hex())
+    assert newton.read_rank(history, tol, scale) == array_read_rank(history, tol, scale)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=1,
+                max_size=40))
+@example([complex(1e300, -1e-320), 5e-324j])
+def test_norm_has_numpy_bits(values):
+    # subnormal, huge (whose squares overflow) and non-finite entries alike,
+    # with the same warnings, since the same dot products are taken
+    v = np.array(values, dtype=complex)
+
+    def outcome(norm):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = float(norm(v)).hex()
+        return value, [str(w.message) for w in caught]
+
+    assert outcome(newton._norm) == outcome(np.linalg.norm)
 
 
 @pytest.mark.parametrize("text, start, root", [
