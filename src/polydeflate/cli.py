@@ -20,7 +20,9 @@ stabilize.
 
 Reports are written with a fixed key order and 17 significant digits,
 so two runs with the same inputs and seed produce identical bytes
-except for the wall-time field on the final line. Complex numbers
+except for the wall-time field on the final line. ``render_report`` and
+``render_reports`` write that fixed layout in one pass over each report's
+fields, with no intermediate tree. Complex numbers
 appear as two-element ``[re, im]`` arrays; a number that is not finite
 (after divergence) is written as ``null``.
 """
@@ -77,61 +79,63 @@ def _pair(z) -> str:
     return "[%s, %s]" % (_num(z.real), _num(z.imag))
 
 
-def _emit(node, pad="") -> str:
-    """Render a tree of dicts/lists whose leaves are pre-formatted strings."""
+def _array(items, pad) -> str:
+    """The rendered ``items`` as a JSON array, one to a line, indented two
+    spaces past ``pad``, where the closing bracket stands; ``[]`` when empty."""
+    if not items:
+        return "[]"
     inner = pad + "  "
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        parts = [f"{inner}{_string(key)}: {_emit(value, inner)}"
-                 for key, value in node.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(node, list):
-        if not node:
-            return "[]"
-        parts = [inner + _emit(value, inner) for value in node]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return node
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
-def report_tree(report: deflate.SolverReport) -> dict:
-    """Fixed-order tree for one solver report; wall time stays last."""
-    stages = []
-    for stage in report.stages:
-        stages.append({
-            "corank_before": str(stage.corank_before),
-            "corank_after": str(stage.corank_after),
-            "inverse_condition_before": _num(stage.inverse_condition_before),
-            "inverse_condition_after": _num(stage.inverse_condition_after),
-            "multipliers": [_pair(z) for z in stage.multiplier_values],
-        })
-    return {
-        "system": _string(report.system_name),
-        "nvars": str(report.nvars),
-        "neqs": str(report.neqs),
-        "status": _string(report.status),
-        "seed": str(report.seed),
-        "deflations": str(report.deflations),
-        "corank_sequence": [str(c) for c in report.corank_sequence],
-        "corank_arrow": _string(report.corank_arrow),
-        "residual_initial": _num(report.residual_initial),
-        "residual_final": _num(report.residual_final),
-        "inverse_condition_original": _num(report.inverse_condition_original),
-        "inverse_condition_final": _num(report.inverse_condition_final),
-        "correct_digits_initial": _num(report.correct_digits_initial),
-        "correct_digits_final": _num(report.correct_digits_final),
-        "solution": [_pair(z) for z in report.solution],
-        "stages": stages,
-        "wall_time_seconds": _num(report.wall_time_seconds),
-    }
+def _object(fields, pad) -> str:
+    """The (key, rendered value) ``fields`` as a JSON object laid out as
+    ``_array`` lays out its items; the keys are plain ASCII names."""
+    inner = pad + "  "
+    return f"{{\n{inner}" + f",\n{inner}".join(
+        f'"{key}": {value}' for key, value in fields) + f"\n{pad}}}"
+
+
+def _report(report: deflate.SolverReport, pad: str) -> str:
+    """One report in the fixed layout, in one pass over its fields, the
+    lines after the first indented past ``pad``; wall time stays last."""
+    inner = pad + "  "
+    stage_pad = inner + "  "
+    stages = [_object((
+        ("corank_before", stage.corank_before),
+        ("corank_after", stage.corank_after),
+        ("inverse_condition_before", _num(stage.inverse_condition_before)),
+        ("inverse_condition_after", _num(stage.inverse_condition_after)),
+        ("multipliers", _array([_pair(z) for z in stage.multiplier_values],
+                               stage_pad + "  ")),
+    ), stage_pad) for stage in report.stages]
+    return _object((
+        ("system", _string(report.system_name)),
+        ("nvars", report.nvars),
+        ("neqs", report.neqs),
+        ("status", _string(report.status)),
+        ("seed", report.seed),
+        ("deflations", report.deflations),
+        ("corank_sequence", _array([str(c) for c in report.corank_sequence], inner)),
+        ("corank_arrow", _string(report.corank_arrow)),
+        ("residual_initial", _num(report.residual_initial)),
+        ("residual_final", _num(report.residual_final)),
+        ("inverse_condition_original", _num(report.inverse_condition_original)),
+        ("inverse_condition_final", _num(report.inverse_condition_final)),
+        ("correct_digits_initial", _num(report.correct_digits_initial)),
+        ("correct_digits_final", _num(report.correct_digits_final)),
+        ("solution", _array([_pair(z) for z in report.solution], inner)),
+        ("stages", _array(stages, inner)),
+        ("wall_time_seconds", _num(report.wall_time_seconds)),
+    ), pad)
 
 
 def render_report(report: deflate.SolverReport) -> str:
-    return _emit(report_tree(report)) + "\n"
+    return _report(report, "") + "\n"
 
 
 def render_reports(reports) -> str:
-    return _emit([report_tree(r) for r in reports]) + "\n"
+    return _array([_report(r, "  ") for r in reports], "") + "\n"
 
 
 # ---------------------------------------------------------------------------

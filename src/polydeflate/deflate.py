@@ -14,9 +14,16 @@ deflation is applied again, and the total number of stages stays below the
 multiplicity of the root.
 
 A ``DeflationStage`` is its two draws: its rank and variable counts are
-read from the shape of ``mix``. ``DeflatedSystem.levels`` is the one table
-of (nvars, neqs) per level. The base ``PolySystem`` evaluates D^m J_0
-(``jet``) from term lists that serve every system on that base.
+read from the shape of ``mix``. ``deflate_once`` takes both from one
+``unit_circle_matrix`` draw of n + 1 rows, the rows of ``mix`` and then the
+anchor, which is the random stream (and so the bits) of drawing them one
+after the other; it builds its stage without re-checking draws it has just
+made, while ``DeflationStage(mix, anchor)`` checks shapes and moduli for
+every other caller. ``DeflatedSystem.levels`` is the one table of (nvars,
+neqs) per level. The base ``PolySystem`` evaluates D^m J_0 (``jet``) from
+term lists that serve every system on that base. Multiplier j of stage k
+is named ``l_k_j`` unless a base variable has one of those names; then all
+of them take a longer prefix of l's (``ll_k_j``, ..).
 
 Deflated systems are never expanded into polynomials on the evaluation path.
 Stage k gives F_k(y, mu) = [F_{k-1}(y); J_{k-1}(y) B mu; a . mu - 1] (B its
@@ -44,11 +51,11 @@ contracted with all requests of order m together; the bottom-up sweep then
 builds each level's blocks for all its requests at once, adding the mid
 terms in the formula's order (B mu first, then slot 1, 2, ...). A pass,
 ``_pass(z, levels)``, returns F_K with J_0 .. J_(levels-1), writing F_K
-into one preallocated vector (F_0 first, then each stage's J_k B mu and
-a . mu - 1 below the rows of the level it extends): one over all
-K + 1 levels gives ``jacobian_at`` and ``value_and_jacobian``, and
-``value_at`` stops below the top Jacobian. A system without stages runs no
-sweep and evaluates as its base system does.
+into one preallocated vector (F_0 first, then each stage's J_k B mu, by
+``np.matmul`` into its rows, and a . mu - 1 below the rows of the level it
+extends): one over all K + 1 levels gives ``jacobian_at`` and
+``value_and_jacobian``, and ``value_at`` stops below the top Jacobian. A
+system without stages runs no sweep and evaluates as its base system does.
 
 ``DeflatedSystem.expand`` produces the naive fully-expanded polynomial
 system. It exists for file export and as a cross-check in the tests; it is
@@ -105,6 +112,16 @@ class DeflationStage:
             if not np.max(np.abs(np.abs(arr) - 1.0)) <= _UNIT_TOL:
                 raise ValueError("mix and anchor entries must have modulus one")
 
+    @classmethod
+    def _trusted(cls, mix: np.ndarray, anchor: np.ndarray) -> "DeflationStage":
+        """Unchecked constructor for draws ``deflate_once`` has just made from
+        ``unit_circle_matrix``, whose shapes and moduli hold by construction;
+        ``DeflationStage(mix, anchor)`` keeps every check for other callers."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "mix", mix)
+        object.__setattr__(self, "anchor", anchor)
+        return self
+
     @property
     def rank(self) -> int:
         return self.mix.shape[1] - 1
@@ -157,10 +174,17 @@ class DeflatedSystem:
 
     @property
     def var_names(self):
-        names = list(self.base.var_names)
-        for k, stage in enumerate(self.stages, start=1):
-            names.extend(f"l_{k}_{j}" for j in range(1, stage.rank + 2))
-        return tuple(names)
+        """The base names, then multiplier j of stage k as ``l_k_j``. When a
+        base name is among those, every multiplier takes the shortest prefix
+        of more l's (``ll_k_j``, ..) whose names all differ from the base's."""
+        base = self.base.var_names
+        prefix = "l"
+        while True:
+            names = tuple(f"{prefix}_{k}_{j}" for k, stage in enumerate(self.stages, start=1)
+                          for j in range(1, stage.rank + 2))
+            if set(base).isdisjoint(names):
+                return base + names
+            prefix += "l"
 
     # -- structured evaluation ----------------------------------------------
 
@@ -210,11 +234,15 @@ class DeflatedSystem:
         out = np.empty(self.neqs, dtype=complex)
         out[:len(value)] = value
         for stage, jac, bmu, (_, neq) in zip(self.stages, jacobians, mixed, self.levels):
-            out[neq:2 * neq] = jac @ bmu
+            np.matmul(jac, bmu, out=out[neq:2 * neq])
             out[2 * neq] = stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0
         return out, jacobians
 
     def value_at(self, z) -> np.ndarray:
+        """F_K at ``z`` from a pass that stops below the top Jacobian. The
+        pass batches the lower Jacobians' contractions otherwise than the
+        one of ``value_and_jacobian``, so the two values may differ in the
+        last bits (up to 5.3e-16 relative seen on {x, y^d})."""
         return self._pass(check_point(z, self.nvars), len(self.stages))[0]
 
     def jacobian_at(self, z) -> np.ndarray:
@@ -354,7 +382,10 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
 
     The multipliers are initialized as the minimum-norm least-squares
     solution of the stacked linear system [A(x0) mix; anchor] lam = e_last,
-    which pins them near the kernel direction with anchor . lam = 1.
+    which pins them near the kernel direction with anchor . lam = 1; the
+    stack is written into one preallocated array. ``mix`` and ``anchor``
+    come from one draw (module docstring), and the stage is built from
+    them without ``DeflationStage``'s checks.
     ``rng_seed`` may be an integer seed or an existing numpy Generator (the
     deflation loop threads one generator through all its stages).
     ``jacobian`` and ``rank`` are the Jacobian at ``x0`` and its rank when
@@ -378,15 +409,16 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
                                    newton.anchor_scale(current))
     if rank >= current.nvars:
         raise RegularPointError("Jacobian has full column rank at the given point")
-    rng = np.random.default_rng(rng_seed)
-    mix = unit_circle_matrix(rng, current.nvars, rank + 1)
-    anchor = unit_circle_matrix(rng, 1, rank + 1)[0]
-    stage = DeflationStage(mix, anchor)
-    stacked = np.vstack([jacobian @ mix, anchor[np.newaxis, :]])
+    # the rows of mix, then the anchor: the stream, and so the bits, of two draws
+    draws = unit_circle_matrix(np.random.default_rng(rng_seed), current.nvars + 1, rank + 1)
+    mix, anchor = draws[:-1], draws[-1]
+    stacked = np.empty((current.neqs + 1, rank + 1), dtype=complex)
+    np.matmul(jacobian, mix, out=stacked[:-1])
+    stacked[-1] = anchor
     rhs = np.zeros(current.neqs + 1, dtype=complex)
     rhs[-1] = 1.0
     multipliers = linalg.least_squares(stacked, rhs, rank_tol)
-    return current.with_stage(stage), multipliers
+    return current.with_stage(DeflationStage._trusted(mix, anchor)), multipliers
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ squaring, and sums, from 0j in term order, each coefficient times its powers
 in variable order. ``PolySystem.jet(point, orders)`` returns the value with
 the first ``orders`` derivatives: a value alone (orders 0) is read from the
 term maps, and the others from flat term lists built once per system, with
-the coefficients and order that symbolic differentiation would give.
+the coefficients and order that symbolic differentiation would give. A
+list of a higher order is differentiated from its parent one order below
+only when that parent is not empty: the children of an empty list are
+empty. ``PolySystem.coefficient_scale`` is read from the order-1 lists once
+per system.
 
 The parser reads the equations through compiled regexes: one match takes a
 run of simple factors (numbers, complex literals such as ``(1.5-0.5i)`` and
@@ -480,7 +484,7 @@ class PolyMatrix:
 class PolySystem:
     """A system of N polynomial equations in n named variables."""
 
-    __slots__ = ("equations", "var_names", "degree", "_lists")
+    __slots__ = ("equations", "var_names", "degree", "_lists", "_scale")
 
     def __init__(self, equations: Sequence[Polynomial], var_names: Sequence[str]):
         eqs = tuple(equations)
@@ -501,6 +505,7 @@ class PolySystem:
         self.var_names = names
         self.degree = max(p.degree for p in eqs)   # -1 when every equation is zero
         self._lists = None   # term lists by derivative order (``_term_lists``)
+        self._scale = None   # ``coefficient_scale``, once read
 
     @property
     def nvars(self) -> int:
@@ -523,7 +528,8 @@ class PolySystem:
         one per equation, then one per entry of J (row by row), then of D^m J at
         each multi-index of ``_derivative_layout(nvars, m)``. A list maps factors
         ((j, e), ..) to coefficients in graded order; each order differentiates
-        the one below by the multi-index's last variable."""
+        the one below by the multi-index's last variable. An empty list's
+        children are empty, and are not differentiated."""
         lists = self._lists
         if lists is None:
             values = tuple({tuple((j, e) for j, e in enumerate(exps) if e): c
@@ -535,9 +541,10 @@ class PolySystem:
             order, below = len(lists) - 1, lists[-1][0]
             first = {alpha: k * size for k, alpha in
                      enumerate(_derivative_layout(self.nvars, order - 1)[0])}
-            lists.append(_order(tuple(_differentiated(below[first[alpha[:-1]] + k], alpha[-1])
-                                      for alpha in _derivative_layout(self.nvars, order)[0]
-                                      for k in range(size))))
+            lists.append(_order(tuple(
+                _differentiated(parent, alpha[-1]) if parent else {}
+                for alpha in _derivative_layout(self.nvars, order)[0]
+                for parent in below[first[alpha[:-1]]:first[alpha[:-1]] + size])))
         return lists
 
     def jet(self, point, orders: int):
@@ -568,9 +575,12 @@ class PolySystem:
 
     @property
     def coefficient_scale(self) -> float:
-        """Largest coefficient modulus appearing in the Jacobian."""
-        return max((abs(c) for terms in self._term_lists(1)[1][0] for c in terms.values()),
-                   default=0.0)
+        """Largest coefficient modulus appearing in the Jacobian, computed once
+        per system: every refinement and deflation step on it reads this."""
+        if self._scale is None:
+            self._scale = max((abs(c) for terms in self._term_lists(1)[1][0]
+                               for c in terms.values()), default=0.0)
+        return self._scale
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,16 @@
 * ``concatenated_value``: F_K of a ``DeflatedSystem`` as its pass built it
   before writing it in place, one ``np.concatenate`` of the base value and
   each stage's pieces; the in-place value must have its bytes.
+* ``two_call_draws``: a deflation stage's ``mix`` and ``anchor`` drawn by
+  two ``unit_circle_matrix`` calls, as ``deflate_once`` drew them before
+  taking both from one draw; the one draw must give their bits.
+* ``every_parent_term_lists``: ``PolySystem._term_lists`` as it was before
+  it skipped the empty parents, differentiating every list of the order
+  below; keys, order and coefficient bits must be the same.
+* ``report_tree`` and ``emit``: a solver report as a tree of dicts and
+  lists with pre-formatted leaves, and the recursive renderer of that
+  tree, the form the command line's reports took before ``cli`` rendered
+  their fixed layout in one pass; the bytes must be the same.
 * ``step_ratios``: the ratios of consecutive Newton step lengths, in which
   linear and quadratic convergence show.
 * ``dual_nullity_at_order``: the nullity of one order's Macaulay matrix,
@@ -45,9 +55,11 @@ from itertools import product
 import numpy as np
 
 from polydeflate import linalg, oracle
-from polydeflate.deflate import RegularPointError
+from polydeflate.cli import _num, _pair, _string
+from polydeflate.deflate import RegularPointError, unit_circle_matrix
 from polydeflate.newton import _TREND_FALL
-from polydeflate.polysys import Polynomial, PolyMatrix, PolySystem
+from polydeflate.polysys import (Polynomial, PolyMatrix, PolySystem, _derivative_layout,
+                                 _differentiated, _order)
 
 
 def zero(nvars: int) -> Polynomial:
@@ -341,6 +353,81 @@ def concatenated_value(system, z, levels: int):
         pieces.append(jac @ bmu)
         pieces.append([stage.anchor @ z[stage.nvars_prev:stage.nvars_out] - 1.0])
     return np.concatenate(pieces)
+
+
+def two_call_draws(rng, nvars: int, rank: int):
+    """``(mix, anchor)`` of a stage of ``rank`` on ``nvars`` variables: an
+    nvars x (rank + 1) draw, then a 1 x (rank + 1) draw whose row is the anchor."""
+    mix = unit_circle_matrix(rng, nvars, rank + 1)
+    return mix, unit_circle_matrix(rng, 1, rank + 1)[0]
+
+
+def every_parent_term_lists(system: PolySystem, orders: int) -> list:
+    """The term lists of ``system`` of orders 0 .. ``orders`` in the layout of
+    ``PolySystem._term_lists``, each list of an order above 1 differentiated
+    from its parent whether that parent is empty or not."""
+    values = tuple({tuple((j, e) for j, e in enumerate(exps) if e): c
+                    for exps, c in p.terms.items()} for p in system.equations)
+    lists = [_order(values), _order(tuple(_differentiated(terms, j) for terms in values
+                                          for j in range(system.nvars)))]
+    size = system.neqs * system.nvars
+    while len(lists) <= orders:
+        order, below = len(lists) - 1, lists[-1][0]
+        first = {alpha: k * size for k, alpha in
+                 enumerate(_derivative_layout(system.nvars, order - 1)[0])}
+        lists.append(_order(tuple(_differentiated(below[first[alpha[:-1]] + k], alpha[-1])
+                                  for alpha in _derivative_layout(system.nvars, order)[0]
+                                  for k in range(size))))
+    return lists
+
+
+def report_tree(report) -> dict:
+    """Fixed-order tree for one solver report; wall time stays last."""
+    stages = []
+    for stage in report.stages:
+        stages.append({
+            "corank_before": str(stage.corank_before),
+            "corank_after": str(stage.corank_after),
+            "inverse_condition_before": _num(stage.inverse_condition_before),
+            "inverse_condition_after": _num(stage.inverse_condition_after),
+            "multipliers": [_pair(z) for z in stage.multiplier_values],
+        })
+    return {
+        "system": _string(report.system_name),
+        "nvars": str(report.nvars),
+        "neqs": str(report.neqs),
+        "status": _string(report.status),
+        "seed": str(report.seed),
+        "deflations": str(report.deflations),
+        "corank_sequence": [str(c) for c in report.corank_sequence],
+        "corank_arrow": _string(report.corank_arrow),
+        "residual_initial": _num(report.residual_initial),
+        "residual_final": _num(report.residual_final),
+        "inverse_condition_original": _num(report.inverse_condition_original),
+        "inverse_condition_final": _num(report.inverse_condition_final),
+        "correct_digits_initial": _num(report.correct_digits_initial),
+        "correct_digits_final": _num(report.correct_digits_final),
+        "solution": [_pair(z) for z in report.solution],
+        "stages": stages,
+        "wall_time_seconds": _num(report.wall_time_seconds),
+    }
+
+
+def emit(node, pad="") -> str:
+    """Render a tree of dicts/lists whose leaves are pre-formatted strings."""
+    inner = pad + "  "
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        parts = [f"{inner}{_string(key)}: {emit(value, inner)}"
+                 for key, value in node.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(node, list):
+        if not node:
+            return "[]"
+        parts = [inner + emit(value, inner) for value in node]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    return node
 
 
 def step_ratios(steps):

@@ -6,7 +6,9 @@ runs out of memory runs ``python -m polydeflate.cli`` in a child process,
 so that only the child's address space is capped.
 """
 
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -18,7 +20,8 @@ import pytest
 from polydeflate import cli, deflate
 from polydeflate.polysys import parse_system
 
-from conftest import FIXTURES
+import reference
+from conftest import FIXTURES, load_fixture
 
 
 def write_json(path, payload):
@@ -271,6 +274,27 @@ def test_deflate_writes_expanded_system(tmp_path, capsys):
     assert reparsed.neqs == 3
     assert reparsed.nvars == 2
     assert "3 equations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.0], [1e-3, 2e-3]])
+def test_a_base_variable_with_a_multipliers_name(tmp_path, capsys, values):
+    # l_1_1 is the name the first multiplier takes when no base name has it
+    system = tmp_path / "named.ps"
+    system.write_text("2\nl_1_1 y\nl_1_1^2;\ny^2;\n")
+    start = point_file(tmp_path, "p.json", values)
+    deflated = tmp_path / "deflated.ps"
+    rc = cli.main(["deflate", "--system", str(system), "--point", start,
+                   "--rank-tol", "1e-2", "--out", str(deflated)])
+    assert rc == 0
+    emitted = tmp_path / "emitted.ps"
+    rc = cli.main(["solve", "--system", str(system), "--point", start,
+                   "--out", str(tmp_path / "r.json"), "--emit-deflated", str(emitted)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    for path in (deflated, emitted):
+        names = parse_system(path.read_text()).var_names
+        assert names[:2] == ("l_1_1", "y") and len(set(names)) == len(names)
+        assert "ll_1_1" in names
 
 
 def test_deflate_regular_point_exits_two(tmp_path, capsys):
@@ -546,3 +570,64 @@ def test_running_out_of_memory_is_a_one_line_error_exit_two(tmp_path):
         capture_output=True, text=True, timeout=120, env=env, preexec_fn=cap)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass report renderer against the tree it replaced
+# ---------------------------------------------------------------------------
+
+# fixture: the coordinate of its root in every variable
+RENDERED = {"square": 0.0, "axis_quartic": 0.0, "cubic_trio": 0.0, "cross_cubes": 0.0,
+            "bench9": 0.0, "cbms2": 0.0, "dz1": 0.0, "dz2": 0.0, "kss5": 1.0}
+
+
+def assert_renders_as_the_tree(reports):
+    for report in reports:
+        assert cli.render_report(report) == reference.emit(reference.report_tree(report)) + "\n"
+    assert cli.render_reports(reports) == reference.emit(
+        [reference.report_tree(r) for r in reports]) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_reports_render_as_the_tree_on_every_fixture(name):
+    system = load_fixture(f"{name}.ps")
+    root = np.full(system.nvars, RENDERED[name], dtype=complex)
+    rng = np.random.default_rng(len(name))
+    reports = []
+    for k, reference_point in enumerate([None, root]):
+        start = root + 1e-3 * (rng.normal(size=system.nvars) + 1j * rng.normal(size=system.nvars))
+        reports.append(deflate.deflate_loop(system, start, seed=k, max_stages=2,
+                                            reference=reference_point, system_name=name))
+    assert reports[1].correct_digits_final is not None
+    assert_renders_as_the_tree(reports)
+
+
+def test_reports_render_as_the_tree_without_a_stage():
+    system = parse_system("2\nx y\nx^2 - 1;\ny - 2;\n")
+    report = deflate.deflate_loop(system, [0.9, 2.1], reference=[1.0, 2.0])
+    assert report.stages == [] and report.deflations == 0
+    assert_renders_as_the_tree([report])
+
+
+def test_reports_render_as_the_tree_with_fields_that_are_not_finite():
+    report = deflate.deflate_loop(load_fixture("square.ps"), [1e-3], seed=5)
+    assert report.stages
+    stage = dataclasses.replace(report.stages[0], inverse_condition_before=math.nan,
+                                inverse_condition_after=math.inf,
+                                multiplier_values=np.array([complex(math.nan, -math.inf)]))
+    broken = dataclasses.replace(
+        report, residual_initial=math.inf, residual_final=math.nan,
+        inverse_condition_original=-math.inf, correct_digits_final=math.nan,
+        solution=np.array([complex(math.inf, math.nan)]), stages=[stage])
+    text = cli.render_report(broken)
+    assert "null" in text and "nan" not in text.lower() and "inf" not in text.lower()
+    assert json.loads(text)["residual_final"] is None
+    assert_renders_as_the_tree([broken, report])
+
+
+@pytest.mark.parametrize("name", ["näive_Ω", "日本語", "tab\there", "quote\"mark"])
+def test_reports_render_as_the_tree_with_any_system_name(name):
+    report = deflate.deflate_loop(load_fixture("square.ps"), [1e-3], system_name=name)
+    assert json.loads(cli.render_report(report))["system"] == name
+    assert cli.render_report(report).isascii()
+    assert_renders_as_the_tree([report])

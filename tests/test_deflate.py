@@ -17,7 +17,7 @@ from polydeflate.polysys import PolySystem, format_system, parse_system
 
 from conftest import load_fixture
 from reference import (compose_system_linear, concatenated_value, evaluate, recursive_jacobians,
-                       recursive_value, symbolic_deflation, unique_layout)
+                       recursive_value, symbolic_deflation, two_call_draws, unique_layout)
 
 FIXTURE_ROOTS = [
     ("square.ps", 1, 2),
@@ -117,9 +117,47 @@ def test_mismatched_stage_chain_is_rejected(cubic_trio):
         DeflatedSystem(cubic_trio, (stage,))
 
 
+@pytest.mark.parametrize("nvars, rank", [(1, 0), (2, 0), (2, 1), (3, 2), (5, 1), (9, 4), (17, 0)])
+@pytest.mark.parametrize("seed", [0, 11, 0x5EED])
+def test_one_draw_is_the_two_draws_bit_for_bit(nvars, rank, seed):
+    mix, anchor = two_call_draws(rng_for(seed), nvars, rank)
+    draws = deflate.unit_circle_matrix(rng_for(seed), nvars + 1, rank + 1)
+    assert draws[:-1].tobytes() == mix.tobytes()
+    assert draws[-1].tobytes() == anchor.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one deflation step
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, point, rank_tol", [
+    ("square.ps", [1e-3], 1e-2),
+    ("axis_quartic.ps", [0.0, 0.0], 1e-8),
+    ("cubic_trio.ps", [1e-4, -2e-4j], 1e-2),
+    ("cross_cubes.ps", [0.0, 0.0, 0.0], 1e-8),
+    ("bench9.ps", [0.0] * 9, 1e-8),
+])
+@pytest.mark.parametrize("seed", [3, 0x5EED])
+def test_deflate_once_is_the_checked_stage_of_two_draws(name, point, rank_tol, seed):
+    # the stage built without checks, from one draw, has the draws and the
+    # multipliers that the two draws give through the checked constructor
+    system = load_fixture(name)
+    extended, multipliers = deflate.deflate_once(system, point, rank_tol, seed)
+    stage = extended.stages[-1]
+    jacobian = system.jacobian_at(point)
+    mix, anchor = two_call_draws(rng_for(seed), system.nvars, stage.rank)
+    checked = DeflationStage(mix, anchor)
+    assert stage.mix.tobytes() == checked.mix.tobytes()
+    assert stage.anchor.tobytes() == checked.anchor.tobytes()
+    assert (stage.rank, stage.nvars_prev, stage.nvars_out) == (
+        checked.rank, checked.nvars_prev, checked.nvars_out)
+    stacked = np.vstack([jacobian @ checked.mix, checked.anchor[np.newaxis, :]])
+    rhs = np.zeros(system.neqs + 1, dtype=complex)
+    rhs[-1] = 1.0
+    expected = linalg.least_squares(stacked, rhs, rank_tol)
+    assert multipliers.tobytes() == expected.tobytes()
+    assert extended.levels == DeflatedSystem(system, (checked,)).levels
+
 
 def test_deflate_once_on_double_root(square):
     # at 1e-3 the 1x1 Jacobian is 2e-3; a coarse tolerance treats it as rank 0
@@ -278,6 +316,19 @@ def test_structured_jacobian_matches_finite_differences():
 def test_expand_names_multiplier_variables():
     current, _ = chain_at_origin(load_fixture("cubic_trio.ps"), max_stages=2)
     assert current.expand().var_names == ("x1", "x2", "l_1_1", "l_2_1", "l_2_2")
+
+
+@pytest.mark.parametrize("names, multipliers", [
+    ("l_1_1 y", ("ll_1_1",)),
+    ("l_1_2 y", ("l_1_1",)),          # no multiplier is named l_1_2
+    ("l_1_1 ll_1_1", ("lll_1_1",)),
+    ("x ll_1_1", ("l_1_1",)),
+])
+def test_multipliers_never_take_a_base_name(names, multipliers):
+    base = parse_system(f"2\n{names}\n{names.split()[0]}^2;\n{names.split()[1]}^2;\n")
+    current, _ = chain_at_origin(base, max_stages=1)
+    assert current.var_names == base.var_names + multipliers
+    assert current.expand().var_names == current.var_names
 
 
 @pytest.mark.parametrize("name", ["square", "axis_quartic", "cubic_trio", "cross_cubes",

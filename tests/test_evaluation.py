@@ -12,12 +12,14 @@ soon as an operation order changes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydeflate import deflate
-from polydeflate.polysys import parse_system
+from polydeflate.polysys import PolySystem, parse_system
 
 from conftest import load_fixture
-from reference import derivative_matrix, reference_jet
+from reference import derivative_matrix, every_parent_term_lists, reference_jet
+from test_arithmetic_properties import polynomials
 
 FIXTURES = ["square.ps", "axis_quartic.ps", "cubic_trio.ps", "cross_cubes.ps", "bench9.ps",
             "cbms2.ps", "dz1.ps", "dz2.ps", "kss5.ps"]
@@ -79,3 +81,36 @@ def test_jet_without_orders_builds_no_list():
     value, tensors = system.jet(np.array([0.5, 2j]), 0)
     assert tensors == [] and system._lists is None
     assert same_bits(value, reference_jet(system, [0.5, 2j], 0)[0])
+
+
+def list_bits(lists):
+    """Each order's lists as (factors, coefficient bits) in their order, and
+    the positions the order sums."""
+    return [([[(factors, c.real.hex(), c.imag.hex()) for factors, c in terms.items()]
+              for terms in order], [k for k, _ in nonempty]) for order, nonempty in lists]
+
+
+def assert_term_lists_skip_only_empty_parents(system):
+    top = max(1, system.degree + 1)
+    reference = list_bits(every_parent_term_lists(system, top))
+    for orders in range(top + 1):
+        fresh = PolySystem(system.equations, system.var_names)
+        assert list_bits(fresh._term_lists(orders)) == reference[:max(2, orders + 1)]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_term_lists_skip_only_empty_parents_on_fixtures(name):
+    assert_term_lists_skip_only_empty_parents(load_fixture(name))
+
+
+@st.composite
+def systems(draw):
+    nvars = draw(st.integers(1, 3))
+    equations = draw(st.lists(polynomials(nvars), min_size=1, max_size=3))
+    return PolySystem(equations, [f"x{j}" for j in range(nvars)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(systems())
+def test_term_lists_skip_only_empty_parents_on_drawn_systems(system):
+    assert_term_lists_skip_only_empty_parents(system)
