@@ -139,12 +139,11 @@ def correct_digits(x, x_ref) -> float:
     """Agreement with a reference point in decimal digits, clamped to [0, 16].
 
     Uses the absolute error when the reference is small (norm below 1) and
-    the relative error otherwise.
+    the relative error otherwise. Both must be vectors of one length
+    (``check_point``).
     """
-    x = np.asarray(x, dtype=complex)
-    x_ref = np.asarray(x_ref, dtype=complex)
-    if x.shape != x_ref.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_ref.shape}")
+    x_ref = check_point(x_ref, np.size(x), "reference")
+    x = check_point(x, x_ref.size)
     err = float(np.linalg.norm(x - x_ref))
     ref_norm = float(np.linalg.norm(x_ref))
     if ref_norm > 1.0:

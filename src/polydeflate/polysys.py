@@ -32,15 +32,18 @@ matrix column) are accumulated in one dictionary and constructed once:
 building one per added term would make a long sum quadratic in its length.
 
 Every evaluation takes its powers from a table built per call by repeated
-squaring, and sums, from 0j in term order, each coefficient times its powers
+squaring, and one loop (``_values``) sums flat term lists keyed by factors
+((j, e > 0), ..): from 0j in term order, each coefficient times its powers
 in variable order. ``PolySystem.jet(point, orders)`` returns the value with
-the first ``orders`` derivatives: a value alone (orders 0) is read from the
-term maps, and the others from flat term lists built once per system, with
-the coefficients and order that symbolic differentiation would give. A
-list of a higher order is differentiated from its parent one order below
-only when that parent is not empty: the children of an empty list are
-empty. ``PolySystem.coefficient_scale`` is read from the order-1 lists once
-per system.
+the first ``orders`` derivatives, read from term lists built once per
+system and only up to the order asked for, with the coefficients and order
+that symbolic differentiation would give: a value alone builds the
+equations' lists and no derivative list. A list of a higher order is
+differentiated from its parent one order below only when that parent is
+not empty: the children of an empty list are empty.
+``PolySystem.coefficient_scale`` is read from the order-1 lists once per
+system. ``PolyMatrix.evaluate`` puts its entries in the same form and sums
+them with the same loop.
 
 The parser reads the equations through compiled regexes: one match takes a
 run of simple factors (numbers, complex literals such as ``(1.5-0.5i)`` and
@@ -75,7 +78,7 @@ import math
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import accumulate, combinations_with_replacement, product
+from itertools import accumulate, combinations_with_replacement, compress, product
 from operator import add
 
 import numpy as np
@@ -110,7 +113,8 @@ def check_point(point, nvars: int, what: str = "point") -> np.ndarray:
     as its one-line error, unless it has ``nvars`` coordinates."""
     z = np.asarray(point, dtype=complex)
     if z.shape != (nvars,):
-        raise ValueError(f"{what} has {z.shape[0] if z.ndim else 0} coordinates, "
+        raise ValueError(f"{what} has shape {z.shape}, expected ({nvars},)" if z.ndim > 1
+                         else f"{what} has {z.size if z.ndim else 0} coordinates, "
                          f"expected {nvars}")
     return z
 
@@ -127,19 +131,11 @@ def _power_table(point, top: int) -> list:
     return table
 
 
-def _value(terms: dict, table) -> complex:
-    """``terms`` at the table's point: from 0j, in term order, each coefficient by its powers."""
-    total = 0j
-    for exps, c in terms.items():
-        for j, e in enumerate(exps):
-            if e:
-                c = c * table[j][e]
-        total += c
-    return total
-
-
 def _values(order, table) -> list:
-    """``_value`` of each list of ``order`` (``_order``), keyed by factors ((j, e > 0), ..)."""
+    """Each list of ``order`` (``_order``) at the table's point: from 0j, in
+    term order, each coefficient times its factors' powers in variable order.
+    The one summation loop: values, Jacobians, their derivatives and
+    ``PolyMatrix.evaluate`` all read it."""
     lists, nonempty = order
     out = [0j] * len(lists)
     for k, terms in nonempty:
@@ -155,6 +151,11 @@ def _values(order, table) -> list:
 def _order(lists: tuple) -> tuple:
     """``lists`` and the (position, list) pairs of its nonempty lists, the ones summed."""
     return lists, tuple((k, terms) for k, terms in enumerate(lists) if terms)
+
+
+def _factor_form(terms: dict) -> dict:
+    """The term map ``terms`` keyed by factors ((j, e > 0), ..), the form ``_values`` sums."""
+    return {tuple(compress(enumerate(exps), exps)): c for exps, c in terms.items()}
 
 
 def _differentiated(terms: dict, var: int) -> dict:
@@ -450,11 +451,11 @@ class PolyMatrix:
         self.nvars = nvars
 
     def evaluate(self, point: Sequence[complex]) -> np.ndarray:
-        """The entries' values at ``point``."""
+        """The entries' values at ``point``, summed as ``PolySystem.jet`` sums."""
         table = _power_table(check_point(point, self.nvars),
                              max(p.degree for row in self.entries for p in row))
-        return np.array([[_value(p.terms, table) for p in row] for row in self.entries],
-                        dtype=complex)
+        lists = _order(tuple(_factor_form(p.terms) for row in self.entries for p in row))
+        return np.array(_values(lists, table), dtype=complex).reshape(self.rows, self.cols)
 
     def differentiate(self, var_index: int) -> "PolyMatrix":
         return PolyMatrix(
@@ -524,18 +525,19 @@ class PolySystem:
         return hash((self.var_names, self.equations))
 
     def _term_lists(self, orders: int) -> list:
-        """The term lists of orders 0 .. ``orders``, each built once (``_order``):
-        one per equation, then one per entry of J (row by row), then of D^m J at
-        each multi-index of ``_derivative_layout(nvars, m)``. A list maps factors
-        ((j, e), ..) to coefficients in graded order; each order differentiates
-        the one below by the multi-index's last variable. An empty list's
-        children are empty, and are not differentiated."""
+        """The term lists of orders 0 .. ``orders``, each built once (``_order``)
+        when first asked for: one per equation, then one per entry of J (row by
+        row), then of D^m J at each multi-index of ``_derivative_layout(nvars,
+        m)``. A list maps factors ((j, e), ..) to coefficients in graded order
+        (``_factor_form``); each order differentiates the one below by the
+        multi-index's last variable. An empty list's children are empty, and
+        are not differentiated."""
         lists = self._lists
         if lists is None:
-            values = tuple({tuple((j, e) for j, e in enumerate(exps) if e): c
-                            for exps, c in p.terms.items()} for p in self.equations)
-            lists = self._lists = [_order(values), _order(tuple(
-                _differentiated(terms, j) for terms in values for j in range(self.nvars)))]
+            lists = self._lists = [_order(tuple(_factor_form(p.terms) for p in self.equations))]
+        if orders and len(lists) == 1:
+            lists.append(_order(tuple(_differentiated(terms, j) for terms in lists[0][0]
+                                      for j in range(self.nvars))))
         size = self.neqs * self.nvars
         while len(lists) <= orders:
             order, below = len(lists) - 1, lists[-1][0]
@@ -550,12 +552,10 @@ class PolySystem:
     def jet(self, point, orders: int):
         """``(F, [J, D J, .., D^(orders - 1) J])`` at the checked vector ``point``;
         D^m J[a_1, .., a_m] (shape (nvars,) * m + (neqs, nvars)) is J
-        differentiated by x_(a_1) .. x_(a_m). Orders 0 build no list: F alone
-        is summed from the term maps."""
+        differentiated by x_(a_1) .. x_(a_m). Every one is summed by
+        ``_values`` from the term lists of orders 0 .. ``orders``; orders 0
+        builds the equations' lists and no derivative list."""
         table = _power_table(point, self.degree)
-        if not orders:
-            return np.array([_value(p.terms, table) for p in self.equations],
-                            dtype=complex), []
         lists = self._term_lists(orders)
         tensors = [np.array(_values(lists[m + 1], table), dtype=complex)
                    .reshape(-1, self.neqs, self.nvars)[_derivative_layout(self.nvars, m)[1]]

@@ -19,7 +19,7 @@ from polydeflate.polysys import PolySystem, parse_system
 
 from conftest import load_fixture
 from reference import derivative_matrix, every_parent_term_lists, reference_jet
-from test_arithmetic_properties import polynomials
+from test_arithmetic_properties import POINTS, polynomials
 
 FIXTURES = ["square.ps", "axis_quartic.ps", "cubic_trio.ps", "cross_cubes.ps", "bench9.ps",
             "cbms2.ps", "dz1.ps", "dz2.ps", "kss5.ps"]
@@ -76,10 +76,11 @@ def test_jet_has_reference_bits_on_expanded_bench9():
     assert_jet_has_reference_bits(expanded, seed=17)
 
 
-def test_jet_without_orders_builds_no_list():
+def test_jet_without_orders_builds_no_derivative_list():
     system = load_fixture("cubic_trio.ps")
     value, tensors = system.jet(np.array([0.5, 2j]), 0)
-    assert tensors == [] and system._lists is None
+    assert tensors == [] and len(system._lists) == 1
+    assert list_bits(system._lists) == list_bits(every_parent_term_lists(system, 1))[:1]
     assert same_bits(value, reference_jet(system, [0.5, 2j], 0)[0])
 
 
@@ -95,7 +96,7 @@ def assert_term_lists_skip_only_empty_parents(system):
     reference = list_bits(every_parent_term_lists(system, top))
     for orders in range(top + 1):
         fresh = PolySystem(system.equations, system.var_names)
-        assert list_bits(fresh._term_lists(orders)) == reference[:max(2, orders + 1)]
+        assert list_bits(fresh._term_lists(orders)) == reference[:orders + 1]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -114,3 +115,13 @@ def systems(draw):
 @given(systems())
 def test_term_lists_skip_only_empty_parents_on_drawn_systems(system):
     assert_term_lists_skip_only_empty_parents(system)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(systems(), st.data())
+def test_a_value_alone_has_the_bits_of_the_value_beside_the_jacobian(system, data):
+    point = data.draw(st.lists(POINTS, min_size=system.nvars, max_size=system.nvars))
+    alone = system.value_at(point)   # the first evaluation: no derivative list yet
+    assert len(system._lists) == 1
+    assert alone.tobytes() == system.value_and_jacobian(point)[0].tobytes()
+    assert alone.tobytes() == system.value_at(point).tobytes()

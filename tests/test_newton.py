@@ -301,6 +301,17 @@ def test_correct_digits_shape_mismatch():
         newton.correct_digits(np.zeros(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("x,x_ref,message", [
+    (np.zeros(2), np.zeros(3), "reference has 3 coordinates, expected 2"),
+    (np.zeros((2, 1)), np.zeros(2), r"point has shape \(2, 1\), expected \(2,\)"),
+    (np.zeros(2), np.zeros((1, 2)), r"reference has shape \(1, 2\), expected \(2,\)"),
+    (0.0, np.zeros(1), "point has 0 coordinates, expected 1"),
+])
+def test_correct_digits_names_the_mismatch(x, x_ref, message):
+    with pytest.raises(ValueError, match=message):
+        newton.correct_digits(x, x_ref)
+
+
 def test_options_validate():
     with pytest.raises(ValueError):
         newton.NewtonOptions(max_iterations=0)

@@ -8,6 +8,7 @@ from polydeflate.polysys import (
     Polynomial,
     PolyMatrix,
     PolySystem,
+    check_point,
     format_system,
     parse_system,
 )
@@ -147,6 +148,18 @@ def test_linear_jacobian_lists_hold_constants_only():
     jac[0, 0] = -7   # each evaluation returns an array of its own
     for later in (system.jacobian_at([2.0, -1.0]), system.value_and_jacobian([0.0, 1.0])[1]):
         assert later.tolist() == [[1, 2], [3, -1]]
+
+
+@pytest.mark.parametrize("point,message", [
+    (np.zeros((2, 1)), r"point has shape \(2, 1\), expected \(2,\)"),
+    (np.zeros((1, 2)), r"point has shape \(1, 2\), expected \(2,\)"),
+    (np.zeros((2, 0)), r"point has shape \(2, 0\), expected \(2,\)"),
+    (np.zeros(3), "point has 3 coordinates, expected 2"),
+    (0.5, "point has 0 coordinates, expected 2"),
+])
+def test_check_point_names_a_shape_that_is_not_a_vector(point, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_point(point, 2)
 
 
 def test_constant_matrix_checks_the_point():
