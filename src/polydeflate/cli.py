@@ -144,7 +144,9 @@ def render_reports(reports) -> str:
 
 def _read_text(path) -> str:
     try:
-        return pathlib.Path(path).read_text(encoding="utf-8")
+        # one leading byte-order mark is dropped; decoding with utf-8-sig would
+        # count a bad byte's offset from after the mark, not from the file start
+        return pathlib.Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as err:
         raise CliError(1, f"cannot read {path}: {err.strerror or err}")
     except UnicodeDecodeError as err:   # no strerror: name the first bad byte

@@ -17,13 +17,13 @@ A ``DeflationStage`` is its two draws: its rank and variable counts are
 read from the shape of ``mix``. ``deflate_once`` takes both from one
 ``unit_circle_matrix`` draw of n + 1 rows, the rows of ``mix`` and then the
 anchor, which is the random stream (and so the bits) of drawing them one
-after the other; it builds its stage without re-checking draws it has just
-made, while ``DeflationStage(mix, anchor)`` checks shapes and moduli for
-every other caller. ``DeflatedSystem.levels`` is the one table of (nvars,
-neqs) per level. The base ``PolySystem`` evaluates D^m J_0 (``jet``) from
-term lists that serve every system on that base. Multiplier j of stage k
-is named ``l_k_j`` unless a base variable has one of those names; then all
-of them take a longer prefix of l's (``ll_k_j``, ..).
+after the other. ``DeflationStage(mix, anchor)`` is the one constructor: it
+checks shapes and moduli for every caller, ``deflate_once`` included.
+``DeflatedSystem.levels`` is the one table of (nvars, neqs) per level. The
+base ``PolySystem`` evaluates D^m J_0 (``jet``) from term lists that serve
+every system on that base. Multiplier j of stage k is named ``l_k_j``
+unless a base variable has one of those names; then all of them take a
+longer prefix of l's (``ll_k_j``, ..).
 
 Deflated systems are never expanded into polynomials on the evaluation path.
 Stage k gives F_k(y, mu) = [F_{k-1}(y); J_{k-1}(y) B mu; a . mu - 1] (B its
@@ -91,36 +91,30 @@ class ExpansionTooLargeError(ValueError):
     """The expanded system could exceed ``EXPAND_TERM_CAP`` terms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeflationStage:
     """The random draws of one deflation step: ``mix`` is n x (r + 1) for a
     system in n variables whose Jacobian has rank r, ``anchor`` has r + 1
-    entries. The rank and the sizes follow from the shape of ``mix``."""
+    entries. The rank and the sizes follow from the shape of ``mix``. Both
+    are stored as complex arrays (a complex array as it is, not copied),
+    once the shapes and the unit moduli are checked. Stages compare and
+    hash by identity, as the reports do."""
 
     mix: np.ndarray
     anchor: np.ndarray
 
     def __post_init__(self):
-        if self.mix.ndim != 2 or not 0 < self.mix.shape[1] <= self.mix.shape[0]:
-            raise ValueError(f"mix has shape {self.mix.shape}, expected (n, r + 1) "
+        mix = np.asarray(self.mix, dtype=complex)
+        if mix.ndim != 2 or not 0 < mix.shape[1] <= mix.shape[0]:
+            raise ValueError(f"mix has shape {mix.shape}, expected (n, r + 1) "
                              f"with rank 0 <= r < n")
-        if self.anchor.shape != (self.mix.shape[1],):
-            raise ValueError(f"anchor has shape {self.anchor.shape}, "
-                             f"expected ({self.mix.shape[1]},)")
-        for arr in (self.mix, self.anchor):
+        anchor = check_point(self.anchor, mix.shape[1], "anchor")
+        for arr in (mix, anchor):
             # written so that NaN fails it too
             if not np.max(np.abs(np.abs(arr) - 1.0)) <= _UNIT_TOL:
                 raise ValueError("mix and anchor entries must have modulus one")
-
-    @classmethod
-    def _trusted(cls, mix: np.ndarray, anchor: np.ndarray) -> "DeflationStage":
-        """Unchecked constructor for draws ``deflate_once`` has just made from
-        ``unit_circle_matrix``, whose shapes and moduli hold by construction;
-        ``DeflationStage(mix, anchor)`` keeps every check for other callers."""
-        self = object.__new__(cls)
         object.__setattr__(self, "mix", mix)
         object.__setattr__(self, "anchor", anchor)
-        return self
 
     @property
     def rank(self) -> int:
@@ -384,8 +378,7 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
     solution of the stacked linear system [A(x0) mix; anchor] lam = e_last,
     which pins them near the kernel direction with anchor . lam = 1; the
     stack is written into one preallocated array. ``mix`` and ``anchor``
-    come from one draw (module docstring), and the stage is built from
-    them without ``DeflationStage``'s checks.
+    come from one draw (module docstring).
     ``rng_seed`` may be an integer seed or an existing numpy Generator (the
     deflation loop threads one generator through all its stages).
     ``jacobian`` and ``rank`` are the Jacobian at ``x0`` and its rank when
@@ -418,16 +411,17 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
     rhs = np.zeros(current.neqs + 1, dtype=complex)
     rhs[-1] = 1.0
     multipliers = linalg.least_squares(stacked, rhs, rank_tol)
-    return current.with_stage(DeflationStage._trusted(mix, anchor)), multipliers
+    return current.with_stage(DeflationStage(mix, anchor)), multipliers
 
 
 # ---------------------------------------------------------------------------
 # the top-level loop and its report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeflationReport:
-    """Corank and conditioning on both sides of one deflation stage."""
+    """Corank and conditioning on both sides of one deflation stage. It holds
+    an array, so reports compare and hash by identity."""
 
     corank_before: int
     corank_after: int
@@ -436,9 +430,10 @@ class DeflationReport:
     multiplier_values: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverReport:
-    """Everything the CLI prints about one solve."""
+    """Everything the CLI prints about one solve; compared by identity, as
+    ``DeflationReport`` is."""
 
     system_name: str
     nvars: int
@@ -502,7 +497,7 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
             residual_initial = trace.residuals[0]
         corank_sequence.append(current.nvars - trace.ranks[-1])
         inverse_conditions.append(trace.inverse_conditions[-1])
-        if status != newton.STALLED_SINGULAR or corank_sequence[-1] == 0:
+        if status != newton.STALLED_SINGULAR:   # which ``refine`` gives at a corank above 0 only
             break
         if len(current.stages) - given >= max_stages:
             break

@@ -20,10 +20,12 @@ of against a leading singular value that itself vanishes toward the root.
 They read a spectrum as a Python list of floats, the one list a Newton
 iterate makes of it, not as an array.
 
-Each check of an input (its shape, the tolerance, finiteness) runs once per
-call; a matrix that is already a complex 2-D array is used as it is, and
-the QR path reads the full rank of its triangle without checking the
-tolerance again.
+Each check of an input runs once per call, and each kind of input has one
+check: ``polysys.check_point`` checks every vector (a right-hand side here,
+a point, a stage's anchor) and ``check_tol`` every tolerance (the solver's
+options call it too). A matrix that is already a complex 2-D array is used
+as it is, and the QR path reads the full rank of its triangle without
+checking the tolerance again.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .polysys import check_point
 
 
 class SvdConvergenceError(RuntimeError):
@@ -76,10 +80,10 @@ def singular_values(matrix) -> np.ndarray:
         raise SvdConvergenceError(str(exc)) from exc
 
 
-def check_tol(tol: float) -> None:
-    """A ValueError unless the rank tolerance ``tol`` lies in (0, 1)."""
+def check_tol(tol: float, what: str = "rank tolerance") -> None:
+    """A ValueError, naming ``what``, unless the tolerance ``tol`` lies in (0, 1)."""
     if not 0 < tol < 1:
-        raise ValueError("rank tolerance must lie in (0, 1)")
+        raise ValueError(f"{what} must lie in (0, 1)")
 
 
 def numerical_rank(sigma, tol: float) -> int:
@@ -90,9 +94,7 @@ def numerical_rank(sigma, tol: float) -> int:
 
 def pseudo_solve(decomp: SvdResult, b, rank: int) -> np.ndarray:
     """Apply the rank-truncated pseudoinverse to ``b``."""
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (decomp.rows,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({decomp.rows},)")
+    b = check_point(b, decomp.rows, "right-hand side")
     if rank == 0:
         return np.zeros(decomp.cols, dtype=complex)
     coeffs = decomp.U[:, :rank].conj().T @ b
@@ -138,9 +140,7 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
     """
     a = _nonempty(matrix)
     rows, cols = a.shape
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (rows,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({rows},)")
+    b = check_point(b, rows, "right-hand side")
     check_tol(tol)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SvdConvergenceError("least-squares input has a NaN or infinite entry")

@@ -104,9 +104,7 @@ class NewtonOptions:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         for name in ("residual_tol", "rank_tol"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0, 1)")
+            linalg.check_tol(getattr(self, name), name)
 
 
 @dataclass

@@ -221,6 +221,27 @@ def test_files_that_are_not_utf8_exit_one(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--system", "--point", "--points", "--reference"])
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys, flag):
+    files = {"--system": tmp_path / "cubic_trio.ps", "--point": tmp_path / "p.json",
+             "--points": tmp_path / "ps.json", "--reference": tmp_path / "root.json"}
+    files["--system"].write_bytes((FIXTURES / "cubic_trio.ps").read_bytes())
+    point_file(tmp_path, "p.json", [1e-3, -2e-3j])
+    write_json(files["--points"], [[[1e-3, 0.0], [0.0, -2e-3]], [[2e-3, 1e-3], [-1e-3, 0.0]]])
+    point_file(tmp_path, "root.json", [0.0, 0.0])
+    start = "--points" if flag == "--points" else "--point"
+    out = tmp_path / "r.json"
+    argv = ["solve", "--system", str(files["--system"]), start, str(files[start]),
+            "--reference", str(files["--reference"]), "--out", str(out)]
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        files[flag].write_bytes(mark + files[flag].read_bytes())
+        rc = cli.main(argv)
+        runs.append((rc, capsys.readouterr(), strip_wall_time(out)))
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+    assert runs[1] == runs[0]
+
+
 def test_wrong_point_length_exits_one(tmp_path, capsys):
     start = point_file(tmp_path, "p.json", [0.1, 0.2])
     rc = cli.main(["solve", "--system", fixture("square.ps"),

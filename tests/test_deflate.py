@@ -91,12 +91,70 @@ def test_stage_validates_shapes_and_modulus():
     anchor = deflate.unit_circle_matrix(rng_for(3), 1, 2)[0]
     with pytest.raises(ValueError, match="shape"):   # more columns than rows
         DeflationStage(np.ones((1, 2), dtype=complex), anchor)
-    with pytest.raises(ValueError, match="anchor has shape"):
+    with pytest.raises(ValueError, match="anchor has 2 coordinates, expected 3"):
         DeflationStage(np.ones((3, 3), dtype=complex), anchor)
     with pytest.raises(ValueError, match="modulus"):
         DeflationStage(2.0 * np.ones((2, 2), dtype=complex), anchor)
     with pytest.raises(ValueError, match="modulus"):
         DeflationStage(np.full((2, 2), np.nan, dtype=complex), anchor)
+
+
+def as_lists(array):
+    return array.tolist()
+
+
+def as_tuples(array):
+    return tuple(map(tuple, array.tolist())) if array.ndim == 2 else tuple(array.tolist())
+
+
+STAGE_DRAWS = {
+    "drawn": (deflate.unit_circle_matrix(rng_for(8), 4, 3),
+              deflate.unit_circle_matrix(rng_for(9), 1, 3)[0]),
+    "signs": (np.array([[1, -1], [-1, 1], [1, 1]]), np.array([1, -1])),   # integer arrays
+}
+
+
+@pytest.mark.parametrize("form", [as_lists, as_tuples, np.asarray])
+@pytest.mark.parametrize("draws", STAGE_DRAWS.values(), ids=STAGE_DRAWS)
+def test_stage_converts_its_draws_to_complex_arrays(draws, form):
+    mix, anchor = draws
+    reference = DeflationStage(mix.astype(complex), anchor.astype(complex))
+    stage = DeflationStage(form(mix), form(anchor))
+    assert (stage.mix.dtype, stage.anchor.dtype) == (complex, complex)
+    assert stage.mix.tobytes() == reference.mix.tobytes()
+    assert stage.anchor.tobytes() == reference.anchor.tobytes()
+    assert (stage.rank, stage.nvars_prev, stage.nvars_out) == (
+        reference.rank, reference.nvars_prev, reference.nvars_out)
+
+
+def test_stage_keeps_complex_draws_without_a_copy():
+    mix, anchor = STAGE_DRAWS["drawn"]
+    stage = DeflationStage(mix, anchor)
+    assert stage.mix is mix and stage.anchor is anchor
+
+
+@pytest.mark.parametrize("mix, anchor", [
+    ([[1, 1], [1]], [1, 1]),
+    ([[1, 1], [1, 1]], [1, [1, 1]]),
+])
+def test_ragged_draws_are_one_value_error(mix, anchor):
+    with pytest.raises(ValueError) as error:
+        DeflationStage(mix, anchor)
+    assert type(error.value) is ValueError and "\n" not in str(error.value)
+
+
+def test_stages_and_reports_compare_and_hash_by_identity(axis_quartic):
+    mix, anchor = STAGE_DRAWS["drawn"]
+    stage, twin = DeflationStage(mix, anchor), DeflationStage(mix.copy(), anchor.copy())
+    assert stage == stage and stage != twin
+    assert len({stage, twin, stage}) == 2
+    # two solves of one two-variable system, each with one stage report or more
+    first, second = (deflate.deflate_loop(axis_quartic, [1e-3, 2e-3]) for _ in range(2))
+    assert first.stages and second.stages
+    for a, b in [(first, second), (first.stages[0], second.stages[0]),
+                 (first.deflated.stages[0], second.deflated.stages[0])]:
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_stage_size_recurrences():
@@ -139,8 +197,8 @@ def test_one_draw_is_the_two_draws_bit_for_bit(nvars, rank, seed):
 ])
 @pytest.mark.parametrize("seed", [3, 0x5EED])
 def test_deflate_once_is_the_checked_stage_of_two_draws(name, point, rank_tol, seed):
-    # the stage built without checks, from one draw, has the draws and the
-    # multipliers that the two draws give through the checked constructor
+    # the stage built from one draw has the draws and the multipliers that
+    # the two draws give through the constructor
     system = load_fixture(name)
     extended, multipliers = deflate.deflate_once(system, point, rank_tol, seed)
     stage = extended.stages[-1]
