@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import deflate, newton, oracle
+from . import deflate, linalg, newton, oracle
 from .polysys import ParseError, check_point, parse_system
 
 
@@ -279,23 +279,35 @@ def cmd_multiplicity(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-# option -> (accepts its value, the rule in the error message); checked once
-# parsing is done, so a bad value is a one-line error before any work starts
+def _at_least(low: int, rule: str):
+    """A check in the form of ``linalg.check_tol``: a ValueError, naming the
+    option, unless its value is at least ``low``."""
+    def check(value, what):
+        if value < low:
+            raise ValueError(f"{what} {rule}")
+    return check
+
+
+# option -> its check, run once parsing is done, so a bad value is a
+# one-line error before any work starts; the tolerances take the package's
+# one tolerance rule
 _OPTION_RULES = {
-    "rank_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "residual_tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "max_deflations": (lambda v: v >= 0, "must be nonnegative"),
-    "seed": (lambda v: v >= 0, "must be nonnegative"),
-    "max_order": (lambda v: v >= 1, "must be at least 1"),
+    "rank_tol": linalg.check_tol,
+    "residual_tol": linalg.check_tol,
+    "max_deflations": _at_least(0, "must be nonnegative"),
+    "seed": _at_least(0, "must be nonnegative"),
+    "max_order": _at_least(1, "must be at least 1"),
 }
 
 
 def _check_options(args):
-    for name, (accepts, rule) in _OPTION_RULES.items():
+    for name, check in _OPTION_RULES.items():
         value = getattr(args, name, None)
-        if value is not None and not accepts(value):
-            flag = "--" + name.replace("_", "-")
-            raise CliError(1, f"{flag} {rule}, got {value}")
+        if value is not None:
+            try:
+                check(value, "--" + name.replace("_", "-"))
+            except ValueError as err:
+                raise CliError(1, f"{err}, got {value}") from None
 
 
 @functools.cache

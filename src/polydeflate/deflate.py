@@ -96,23 +96,25 @@ class DeflationStage:
     """The random draws of one deflation step: ``mix`` is n x (r + 1) for a
     system in n variables whose Jacobian has rank r, ``anchor`` has r + 1
     entries. The rank and the sizes follow from the shape of ``mix``. Both
-    are stored as complex arrays (a complex array as it is, not copied),
-    once the shapes and the unit moduli are checked. Stages compare and
-    hash by identity, as the reports do."""
+    are stored as read-only complex copies, once the shapes and the unit
+    moduli are checked, so the checked draws cannot change and the caller's
+    arrays stay theirs. Stages compare and hash by identity, as the reports
+    do."""
 
     mix: np.ndarray
     anchor: np.ndarray
 
     def __post_init__(self):
-        mix = np.asarray(self.mix, dtype=complex)
+        mix = np.array(self.mix, dtype=complex)
         if mix.ndim != 2 or not 0 < mix.shape[1] <= mix.shape[0]:
             raise ValueError(f"mix has shape {mix.shape}, expected (n, r + 1) "
                              f"with rank 0 <= r < n")
-        anchor = check_point(self.anchor, mix.shape[1], "anchor")
+        anchor = np.array(check_point(self.anchor, mix.shape[1], "anchor"))
         for arr in (mix, anchor):
             # written so that NaN fails it too
-            if not np.max(np.abs(np.abs(arr) - 1.0)) <= _UNIT_TOL:
+            if not abs(abs(arr) - 1.0).max() <= _UNIT_TOL:
                 raise ValueError("mix and anchor entries must have modulus one")
+            arr.flags.writeable = False
         object.__setattr__(self, "mix", mix)
         object.__setattr__(self, "anchor", anchor)
 

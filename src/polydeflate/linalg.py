@@ -6,7 +6,15 @@ gives sigma and the rank-truncated minimum-norm solution of A x ~ b
 together, which is all a Gauss-Newton step needs. It takes one LAPACK call
 (gelsd, through ``np.linalg.lstsq``) on small, square and wide matrices; a
 tall matrix with enough columns is first reduced to the triangle of one QR,
-and forms no singular vectors at full rank. ``singular_values`` is for
+and forms no singular vectors at full rank. On that path a deflated
+Jacobian, whose top stage its caller names, takes a structured step
+(``_deflated_step``): one QR peels off the multiplier block, and the rest
+is the same solve on the columns of the old variables alone. Its singular
+values are those of the block's triangle merged with those of the reduced
+matrix, one descending list of one value per column; that list, not the
+whole matrix's spectrum, is what the rank rule then reads. An iterate
+whose multiplier block is deficient takes the dense step, and so does
+every matrix under ``QR_MIN_COLS`` columns. ``singular_values`` is for
 callers that read only sigma. ``svd`` returns the factors in full (U square
 of size rows, V square of size cols) with ``A = U diag(sigma) V^H``, and
 ``pseudo_solve`` applies its rank-truncated pseudoinverse; the package's own
@@ -23,9 +31,9 @@ iterate makes of it, not as an array.
 Each check of an input runs once per call, and each kind of input has one
 check: ``polysys.check_point`` checks every vector (a right-hand side here,
 a point, a stage's anchor) and ``check_tol`` every tolerance (the solver's
-options call it too). A matrix that is already a complex 2-D array is used
-as it is, and the QR path reads the full rank of its triangle without
-checking the tolerance again.
+options and the command line's call it too). A matrix that is already a
+complex 2-D array is used as it is, and the QR path reads the full rank of
+its triangle without checking the tolerance again.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ def _gelsd(a: np.ndarray, b: np.ndarray, tol: float):
     return sigma, x
 
 
-def truncated_least_squares(matrix, b, tol: float = 1e-8):
+def truncated_least_squares(matrix, b, tol: float = 1e-8, split=None):
     """Singular values of A and the minimum-norm least-squares solution of A x ~ b.
 
     Returns (sigma, x); x is the rank-truncated solution at
@@ -137,6 +145,10 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
     otherwise. Other matrices take gelsd on (A, b) alone. A NaN or infinite
     entry raises ``SvdConvergenceError`` before LAPACK sees it: gelsd's
     scaling step neither returns nor raises on one.
+
+    ``split`` = (n0, neq0) says that A is a deflated Jacobian whose top stage
+    extends a level of n0 variables and neq0 equations (``_deflated_step``);
+    on the QR path such a matrix takes the structured step.
     """
     a = _nonempty(matrix)
     rows, cols = a.shape
@@ -144,6 +156,16 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
     check_tol(tol)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise SvdConvergenceError("least-squares input has a NaN or infinite entry")
+    if split is not None and rows > cols >= QR_MIN_COLS:
+        step = _deflated_step(a, b, tol, *split)
+        if step is not None:
+            return step
+    return _step(a, b, tol)
+
+
+def _step(a: np.ndarray, b: np.ndarray, tol: float):
+    """(sigma, x) of ``truncated_least_squares`` on checked, finite input."""
+    rows, cols = a.shape
     if rows <= cols or cols < QR_MIN_COLS:
         return _gelsd(a, b, tol)
     r = np.linalg.qr(np.column_stack([a, b]), mode="r")
@@ -154,6 +176,46 @@ def truncated_least_squares(matrix, b, tol: float = 1e-8):
         # LU needs no row exchanges on a triangle: this is back substitution
         return sigma, np.linalg.solve(r, c)
     return sigma, _gelsd(r, c, tol)[1]
+
+
+def _deflated_step(a: np.ndarray, b: np.ndarray, tol: float, n0: int, neq0: int):
+    """(sigma, x) for a deflated Jacobian A, or None when its multiplier block
+    is deficient and the caller takes the dense step.
+
+    A deflation stage over a level of n0 variables and neq0 equations gives
+    A = [[J, 0], [H, C]] in (old variables, multipliers), with the
+    multiplier block C = [J B; a] of m = cols - n0 columns in the last
+    neq0 + 1 rows. One Householder QR of those rows, [C | H | b_low], gives
+    the m x m triangle R_M, the coupling rows T with their right-hand side
+    b_T, and the reduced rows S with b_S. While R_M has full rank by the
+    relative rule, the least-squares problem splits: the old variables' part
+    of x is ``_step`` on [J; S] against [b_top; b_S] (127 x 64 in place of
+    191 x 128 on {x, y^7}), and the multipliers' part u solves
+    R_M u = b_T - T x. sigma is sigma(R_M) merged with sigma([J; S]), one
+    descending list of cols values. In exact arithmetic it has as many zeros
+    as the whole matrix's (rank A = m + rank [J; S] while R_M is
+    nonsingular), but not the same values. With [J; S] deficient, x is
+    truncated in the old variables alone, so it is not the whole matrix's
+    minimum-norm solution.
+    """
+    cols = a.shape[1]
+    m = cols - n0
+    low = np.empty((a.shape[0] - neq0, cols + 1), dtype=complex)
+    low[:, :m] = a[neq0:, n0:]
+    low[:, m:cols] = a[neq0:, :n0]
+    low[:, cols] = b[neq0:]
+    r = np.linalg.qr(low, mode="r")
+    r_m = r[:m, :m]
+    sigma_m = singular_values(r_m)
+    if not sigma_m[-1] > tol * sigma_m[0]:
+        return None
+    # S is R's rows m .. cols - 1; a row below them holds only the residual of b_low
+    sigma_x, x = _step(np.concatenate([a[:neq0, :n0], r[m:cols, m:cols]]),
+                       np.concatenate([b[:neq0], r[m:cols, cols]]), tol)
+    u = np.linalg.solve(r_m, r[:m, cols] - r[:m, m:cols] @ x)
+    sigma = np.concatenate([sigma_m, sigma_x])
+    sigma[::-1].sort()   # descending, in place
+    return sigma, np.concatenate([x, u])
 
 
 def least_squares(matrix, b, tol: float = 1e-8) -> np.ndarray:

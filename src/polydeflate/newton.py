@@ -2,7 +2,8 @@
 
 ``refine`` drives the iteration on any system object exposing ``nvars``,
 ``value_and_jacobian`` and ``coefficient_scale`` (both ``PolySystem`` and
-the deflated systems do). Its exit statuses:
+the deflated systems do); a deflated system's ``levels`` also name the
+split of its Jacobian for the least-squares step. Its exit statuses:
 
 ``converged_regular``
     residual at or below ``residual_tol`` at corank 0, and the recent step
@@ -31,6 +32,10 @@ regular solution just because the residual crossed the tolerance.
 
 Each iterate turns its singular values into one Python list and reads
 its rank, its inverse condition and the trend's history from that list;
+a deflated system hands its top stage's split to the step, so on the
+structured path of ``linalg.truncated_least_squares`` (24 columns or more)
+that list is sigma of the multiplier block's triangle merged with sigma of
+the reduced matrix [J; S], not the whole Jacobian's spectrum;
 on a handful of values Python's float comparisons cost less than numpy's
 per-call overhead, and they compare the same doubles. The residual and
 step norms are taken by ``_norm``, which has ``np.linalg.norm``'s bits.
@@ -113,10 +118,12 @@ class NewtonTrace:
 
     ``ranks`` holds the rank each iterate read, the smaller of the scaled
     cut and the trend (module docstring); its corank is what the stall rule
-    and the convergence test saw. ``factored`` is the Jacobian of the last
-    iterate, which is the point ``refine`` returns; ``deflate_loop`` hands it
-    to ``deflate_once`` with ``ranks[-1]``. It is None when the iteration
-    diverged.
+    and the convergence test saw. On a deflated Jacobian of 24 columns or
+    more, the rank and ``inverse_conditions`` are read from the structured
+    step's merged list, sigma(R_M) with sigma([J; S]) (module docstring).
+    ``factored`` is the Jacobian of the last iterate, which is the point
+    ``refine`` returns; ``deflate_loop`` hands it to ``deflate_once`` with
+    ``ranks[-1]``. It is None when the iteration diverged.
     """
 
     points: list = field(default_factory=list)
@@ -218,6 +225,9 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     x = check_point(x0, system.nvars, "start point")
     scale = anchor_scale(system)
     ncols = system.nvars
+    # a deflated system's top stage splits its Jacobian for the step
+    levels = getattr(system, "levels", ())
+    split = levels[-2] if len(levels) > 1 else None
     trace = NewtonTrace()
     history = collections.deque(maxlen=3)
     exhausted = False
@@ -226,7 +236,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         fx, jac = system.value_and_jacobian(x)
         residual = _norm(fx)
         try:
-            sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol)
+            sigma, dx = linalg.truncated_least_squares(jac, fx, opts.rank_tol, split)
         except linalg.SvdConvergenceError:
             trace.record(x, residual, 0, math.nan)
             return x, DIVERGED, trace

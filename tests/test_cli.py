@@ -415,8 +415,16 @@ def test_bench_is_not_a_subcommand(capsys):
     (["multiplicity", "--max-order", "0"], "--max-order must be at least 1, got 0"),
     (["solve", "--seed", "-1"], "--seed must be nonnegative, got -1"),
     (["deflate", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["solve", "--rank-tol", "nan"], "--rank-tol must lie in (0, 1), got nan"),
+    (["solve", "--residual-tol", "NaN"], "--residual-tol must lie in (0, 1), got nan"),
+    (["solve", "--rank-tol", "1"], "--rank-tol must lie in (0, 1), got 1.0"),
+    (["solve", "--residual-tol", "1.0"], "--residual-tol must lie in (0, 1), got 1.0"),
+    (["deflate", "--rank-tol", "nan"], "--rank-tol must lie in (0, 1), got nan"),
+    (["deflate", "--rank-tol", "1"], "--rank-tol must lie in (0, 1), got 1.0"),
 ], ids=["solve-rank-tol", "solve-residual-tol", "solve-max-deflations",
-        "deflate-rank-tol", "multiplicity-max-order", "solve-seed", "deflate-seed"])
+        "deflate-rank-tol", "multiplicity-max-order", "solve-seed", "deflate-seed",
+        "solve-rank-tol-nan", "solve-residual-tol-nan", "solve-rank-tol-one",
+        "solve-residual-tol-one", "deflate-rank-tol-nan", "deflate-rank-tol-one"])
 def test_out_of_range_options_are_one_line_errors(tmp_path, capsys, argv, message):
     start = point_file(tmp_path, "p.json", [0.1])
     command, *options = argv

@@ -127,10 +127,41 @@ def test_stage_converts_its_draws_to_complex_arrays(draws, form):
         reference.rank, reference.nvars_prev, reference.nvars_out)
 
 
-def test_stage_keeps_complex_draws_without_a_copy():
-    mix, anchor = STAGE_DRAWS["drawn"]
+def test_stage_stores_read_only_copies_of_its_draws():
+    mix, anchor = (arr.copy() for arr in STAGE_DRAWS["drawn"])
     stage = DeflationStage(mix, anchor)
-    assert stage.mix is mix and stage.anchor is anchor
+    assert stage.mix.tobytes() == mix.tobytes() and stage.anchor.tobytes() == anchor.tobytes()
+    for stored, given in [(stage.mix, mix), (stage.anchor, anchor)]:
+        assert not np.shares_memory(stored, given)
+        assert given.flags.writeable and not stored.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stage.mix[0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        stage.anchor[0] = 5
+    # the caller's arrays stay writeable, and writing to them leaves the stage as it was
+    mix[0, 0] = anchor[0] = 5
+    assert stage.mix.tobytes() == STAGE_DRAWS["drawn"][0].tobytes()
+    assert stage.anchor.tobytes() == STAGE_DRAWS["drawn"][1].tobytes()
+
+
+def test_stage_of_deflate_once_holds_no_view_of_its_draw(square):
+    extended, _ = deflate.deflate_once(square, [0.0], rng_seed=3)
+    stage = extended.stages[0]
+    assert stage.mix.base is None and stage.anchor.base is None
+    with pytest.raises(ValueError, match="read-only"):
+        stage.mix[0, 0] = 5
+    # the system's Jacobian is unchanged by the refused write
+    z = np.array([0.5, *np.ones(stage.rank + 1)], dtype=complex)
+    assert extended.jacobian_at(z).tobytes() == DeflatedSystem(
+        square, [DeflationStage(stage.mix, stage.anchor)]).jacobian_at(z).tobytes()
+
+
+@pytest.mark.parametrize("where", ["mix", "anchor"])
+def test_a_nan_draw_fails_the_modulus_check(where):
+    mix, anchor = (arr.copy() for arr in STAGE_DRAWS["drawn"])
+    (mix[1] if where == "mix" else anchor)[0] = complex(np.nan, 0.0)
+    with pytest.raises(ValueError, match="modulus one"):
+        DeflationStage(mix, anchor)
 
 
 @pytest.mark.parametrize("mix, anchor", [
@@ -961,6 +992,62 @@ def test_deep_ladder_pool_entry_19_stalls_at_the_cap():
     assert report.corank_sequence == [1] * 7
     assert report.deflated.nvars == 128
     assert np.linalg.norm(report.solution[:2]) <= 1e-40
+
+
+# The d = 6 and d = 7 entries of the deep-ladder benchmark pool, as
+# (entry, d, start, solver seed), solved with the pool's cap of d - 1
+# stages. Their deflated Jacobians reach 64 and 128 columns, so their steps
+# take the structured path of ``linalg.truncated_least_squares``. Every one
+# but entry 19 converges after d - 1 stages with corank 1 before each;
+# entry 19 stalls at the cap (test above). Recorded with the dense step.
+LADDER_POOL_DEEP = [
+    (3, 6, [-0.0006708427470829134-0.00035543137518397234j,
+            0.00020792912120343646-0.0006167690222252145j], 1159198267),
+    (4, 7, [-0.00011570134940840374+0.0008646081479925146j,
+            0.0004671649475615086-0.00014430128183727712j], 667965978),
+    (8, 6, [-0.000395125312250154-0.0005467206859519052j,
+            -0.0004655076927015124-0.0005729529362933842j], 964629239),
+    (9, 7, [0.0006347237836737655-0.0006470944688023382j,
+            8.890196271969178e-05+0.00041290544669314464j], 1486081788),
+    (13, 6, [-0.000920988275055206-0.00015548618062601467j,
+             -0.00028986026509719346-0.00020877181697479064j], 49338134),
+    (14, 7, [0.0006063239018271706-0.0006267253401192413j,
+             -0.00015749195729409523-0.00046344682274579446j], 1295014821),
+    (18, 6, [-0.0007654681703880155-7.510884030006564e-05j,
+             0.00037882397750174304-0.0005146936334377588j], 346957906),
+    (19, 7, [-0.0006645967323146686-3.0991435222868556e-05j,
+             -0.0006469878673889941-0.00037250156213220506j], 434039328),
+    (23, 6, [-0.00034159328314543614+0.00015813248214630065j,
+             -0.0009164421434999304+0.00013580112156173335j], 303280828),
+    (24, 7, [-0.00013233685563617895+0.0004771575953476702j,
+             -0.0008265373080339532-0.00026766334128965855j], 1088058676),
+    (28, 6, [0.0004581801804466644-0.0006277357050778331j,
+             0.00038062710277174297+0.0005011405146781557j], 1916421390),
+    (29, 7, [0.0004889571574569421-0.0001166395065010679j,
+             0.0005801390991516612+0.0006409015129724016j], 1820517705),
+    (33, 6, [0.000656188752873052+0.0005285833902045815j,
+             8.23674614494923e-05+0.000532195003262062j], 2124596793),
+    (34, 7, [0.00046927080367695873-0.00016736438800401854j,
+             -0.00028585080556271374+0.0008185739987341215j], 1000401962),
+    (38, 6, [-0.0003115419570260743-0.00016237098496615958j,
+             0.0009262696865984313-0.00013638819575874887j], 1294385179),
+    (39, 7, [-0.000595446790902692+0.00044900909647673605j,
+             -0.0002310380970229-0.0006248642638276476j], 1505380310),
+]
+
+
+@pytest.mark.parametrize("entry,d,start,seed", LADDER_POOL_DEEP,
+                         ids=[f"entry{row[0]}" for row in LADDER_POOL_DEEP])
+def test_ladder_pin_deep_pool_outcomes(entry, d, start, seed):
+    report = deflate.deflate_loop(ladder(d), start, seed=seed, max_stages=d - 1)
+    assert report.deflations == d - 1
+    if entry == 19:
+        assert report.status == newton.STALLED_SINGULAR
+        assert report.corank_sequence == [1] * d
+    else:
+        assert report.status == newton.CONVERGED_REGULAR
+        assert report.corank_sequence == [1] * (d - 1) + [0]
+        assert np.linalg.norm(report.solution[:2]) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from polydeflate import linalg, oracle
+from polydeflate import deflate, linalg, oracle
+from polydeflate.deflate import DeflatedSystem
+from polydeflate.polysys import parse_system
 
 from reference import derivative_matrix, kernel_vector
 
@@ -386,3 +388,154 @@ def test_non_finite_least_squares_input_raises_without_hanging():
         capture_output=True, text=True, timeout=30, env=env)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.strip() == "ok"
+
+
+# ---------------------------------------------------------------------------
+# the structured step for deflated Jacobians
+# ---------------------------------------------------------------------------
+
+# (n0, neq0, m): a deflation stage over n0 variables and neq0 equations that
+# adjoins m multipliers gives a (2 neq0 + 1) x (n0 + m) Jacobian. The first
+# five are {x, y^d}'s shapes from 11 x 8 to 191 x 128; the others adjoin
+# fewer multipliers than there are variables, and the last is wide. The
+# split is used on tall shapes with 24 columns or more only.
+DEFLATED_SHAPES = [(4, 5, 4), (8, 11, 8), (16, 23, 16), (32, 47, 32), (64, 95, 64),
+                   (20, 30, 6), (13, 13, 12), (30, 16, 17)]
+
+
+def deflated_jacobian(rng, n0, neq0, m, kernel=0, mixed=False):
+    """[[J, 0], [H, J B], [0, a]] with its right-hand side, for random J and H
+    and unit-modulus B and a. With ``kernel`` = k, J loses k random
+    directions K and H is made to vanish on them, so that [K; 0] spans a
+    kernel of the whole matrix; ``mixed`` plants [K; -W] instead, a W with
+    a W = 0 and H K = J B W."""
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    mix, anchor = np.exp(2j * np.pi * rng.random((n0, m))), np.exp(2j * np.pi * rng.random(m))
+    j, h = normal(neq0, n0), normal(neq0, n0)
+    if kernel:
+        basis = np.linalg.qr(normal(n0, kernel))[0]
+        project = np.eye(n0) - basis @ basis.conj().T
+        j, h = j @ project, h @ project
+        if mixed:
+            w = normal(m, kernel)
+            w -= np.outer(anchor.conj(), anchor @ w) / (anchor @ anchor.conj())
+            h += (j @ mix @ w) @ basis.conj().T
+    a = np.zeros((2 * neq0 + 1, n0 + m), dtype=complex)
+    a[:neq0, :n0] = j
+    a[neq0:-1, :n0] = h
+    a[neq0:-1, n0:] = j @ mix
+    a[-1, n0:] = anchor
+    return a, normal(2 * neq0 + 1)
+
+
+def shape_id(shape):
+    n0, neq0, m = shape
+    return f"{2 * neq0 + 1}x{n0 + m}"
+
+
+def structured(a, b, split):
+    """Whether ``truncated_least_squares`` takes the structured step on (a, b)."""
+    rows, cols = a.shape
+    return rows > cols >= linalg.QR_MIN_COLS and linalg._deflated_step(
+        a, b, 1e-8, *split) is not None
+
+
+def assert_steps_agree(a, b, split):
+    """The structured step against the dense one: the same bits where the
+    split is not used, else the same rank and x within 10 eps kappa |x|."""
+    sigma, x = linalg.truncated_least_squares(a, b, 1e-8, split)
+    dense_sigma, dense_x = linalg.truncated_least_squares(a, b, 1e-8)
+    rows, cols = a.shape
+    if not rows > cols >= linalg.QR_MIN_COLS:
+        assert (sigma.tobytes(), x.tobytes()) == (dense_sigma.tobytes(), dense_x.tobytes())
+        return
+    # one descending list of cols values: sigma(R_M) merged with sigma([J; S])
+    assert sigma.shape == (cols,) and np.all(np.diff(sigma) <= 0)
+    assert linalg.numerical_rank(sigma, 1e-8) == linalg.numerical_rank(dense_sigma, 1e-8) == cols
+    # each method is backward stable, so each x lies within about
+    # eps * kappa * |x| of the exact solution
+    kappa = dense_sigma[0] / dense_sigma[-1]
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(x - dense_x) <= 10 * eps * kappa * np.linalg.norm(dense_x)
+
+
+@pytest.mark.parametrize("shape", DEFLATED_SHAPES, ids=map(shape_id, DEFLATED_SHAPES))
+def test_structured_step_is_the_dense_step_at_full_rank(shape):
+    n0, neq0, m = shape
+    a, b = deflated_jacobian(np.random.default_rng(list(shape)), *shape)
+    rows, cols = a.shape
+    assert structured(a, b, (n0, neq0)) == (rows > cols >= linalg.QR_MIN_COLS)
+    assert_steps_agree(a, b, (n0, neq0))
+
+
+def test_structured_step_on_deflated_ladders():
+    # the Jacobians of {x, y^7} deflated at the origin, from 5 x 4 to
+    # 191 x 128, at points 1e-3 from the lifted root
+    current = DeflatedSystem(parse_system("2\nx y\nx;\ny^7;\n"))
+    z = np.zeros(2, dtype=complex)
+    rng = np.random.default_rng(13)
+    while current.nvars < 128:
+        current, multipliers = deflate.deflate_once(current, z, 1e-8, rng)
+        z = np.concatenate([z, multipliers])
+        near = z + 1e-3 * (rng.normal(size=z.size) + 1j * rng.normal(size=z.size))
+        b, a = current.value_and_jacobian(near)
+        split = current.levels[-2]
+        assert structured(a, b, split) == (current.nvars >= linalg.QR_MIN_COLS)
+        assert_steps_agree(a, b, split)
+
+
+KERNEL_CASES = [(16, 23, 16, 1), (32, 47, 32, 1), (64, 95, 64, 1),
+                (20, 30, 6, 3), (20, 30, 6, 12), (13, 13, 12, 2)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["x-kernel", "mixed-kernel"])
+@pytest.mark.parametrize("n0,neq0,m,k", KERNEL_CASES,
+                         ids=[f"{shape_id(case[:3])}-k{case[3]}" for case in KERNEL_CASES])
+def test_structured_step_reads_a_planted_kernel_as_the_dense_step_does(n0, neq0, m, k, mixed):
+    rng = np.random.default_rng([n0, neq0, m, k, mixed])
+    a, b = deflated_jacobian(rng, n0, neq0, m, k, mixed)
+    assert structured(a, b, (n0, neq0))
+    sigma, x = linalg.truncated_least_squares(a, b, 1e-8, (n0, neq0))
+    dense_sigma, dense_x = linalg.truncated_least_squares(a, b, 1e-8)
+    cols = a.shape[1]
+    assert linalg.numerical_rank(sigma, 1e-8) == linalg.numerical_rank(dense_sigma, 1e-8) == cols - k
+    scale = max(1.0, float(dense_sigma[0]))
+    assert linalg.scaled_rank(sigma.tolist(), 1e-8, scale) == cols - k
+    # both steps solve the least-squares problem: same residual, to rounding
+    assert np.linalg.norm(a @ x - b) <= np.linalg.norm(a @ dense_x - b) * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("shape", DEFLATED_SHAPES[2:5], ids=map(shape_id, DEFLATED_SHAPES[2:5]))
+def test_a_deficient_multiplier_block_takes_the_dense_step(shape):
+    n0, neq0, m = shape
+    a, b = deflated_jacobian(np.random.default_rng(list(shape)), *shape)
+    # two equal columns of B, with equal anchor entries: C has rank m - 1
+    a[:, n0 + 1] = a[:, n0]
+    assert linalg._deflated_step(a, b, 1e-8, n0, neq0) is None
+    sigma, x = linalg.truncated_least_squares(a, b, 1e-8, (n0, neq0))
+    dense_sigma, dense_x = linalg.truncated_least_squares(a, b, 1e-8)
+    assert (sigma.tobytes(), x.tobytes()) == (dense_sigma.tobytes(), dense_x.tobytes())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nan-imag"])
+@pytest.mark.parametrize("where", ["multipliers", "top", "rhs"])
+def test_non_finite_input_to_the_structured_step_raises(bad, where):
+    n0, neq0, m = DEFLATED_SHAPES[3]
+    a, b = deflated_jacobian(np.random.default_rng(5), n0, neq0, m)
+    if where == "rhs":
+        b[-1] = bad
+    else:
+        a[(-1, -1) if where == "multipliers" else (0, 0)] = bad
+    with pytest.raises(linalg.SvdConvergenceError, match="NaN or infinite"):
+        linalg.truncated_least_squares(a, b, 1e-8, (n0, neq0))
+
+
+def test_a_wrong_right_hand_side_fails_the_vector_check():
+    n0, neq0, m = DEFLATED_SHAPES[3]
+    a, b = deflated_jacobian(np.random.default_rng(6), n0, neq0, m)
+    with pytest.raises(ValueError, match=r"^right-hand side has 94 coordinates, expected 95$"):
+        linalg.truncated_least_squares(a, b[:-1], 1e-8, (n0, neq0))
+    with pytest.raises(ValueError, match=r"^right-hand side has shape \(95, 1\), expected \(95,\)$"):
+        linalg.truncated_least_squares(a, b[:, np.newaxis], 1e-8, (n0, neq0))
