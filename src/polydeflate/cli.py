@@ -11,12 +11,15 @@ Subcommands:
 Exit codes: 0 on success, 1 for unusable input (bad flags, files that
 cannot be read or are not UTF-8 text, parse errors), 2 when the computation did not reach its goal
 (no convergence, divergence, deflation requested at a regular point
-or at one where the Jacobian overflows, an expanded system for
-``--emit-deflated`` or ``deflate`` above ``deflate.EXPAND_TERM_CAP`` terms,
-or memory running out, say for the table of every power of x up to a
-degree of 10^9: one ``error: out of memory`` line, printed once the
-traceback has let the memory go), 3 when the multiplicity search did not
-stabilize.
+or at one where the Jacobian overflows, a ``deflate`` stage whose
+multiplier solve is not finite, an expanded system for
+``--emit-deflated`` or ``deflate`` above ``deflate.EXPAND_TERM_CAP`` terms
+or with a coefficient out of range, or memory running out, say for the
+table of every power of x up to a degree of 10^9: one ``error: out of
+memory`` line, printed once the traceback has let the memory go), 3 when
+the multiplicity search did not stabilize. Each failure has one class:
+``CliError`` for unusable input, usage errors included, and
+``linalg.SvdConvergenceError`` for a step or stage that is not finite.
 
 Reports are written with a fixed key order and 17 significant digits,
 so two runs with the same inputs and seed produce identical bytes
@@ -48,15 +51,11 @@ class CliError(Exception):
         self.code = code
 
 
-class _UsageError(Exception):
-    def __init__(self, parser, message):
-        super().__init__(message)
-        self.parser = parser
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(self, message)
+        # this (sub)parser's usage, then ``main``'s one error line
+        print(self.format_usage(), end="", file=sys.stderr)
+        raise CliError(1, message)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +361,9 @@ def main(argv=None) -> int:
         # numpy's overflow warnings would only repeat that on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except _UsageError as err:
-        print(err.parser.format_usage(), end="", file=sys.stderr)
-        message, code = str(err), 1
     except CliError as err:
         message, code = str(err), err.code
-    except (deflate.RegularPointError, deflate.NonFiniteJacobianError,
+    except (deflate.RegularPointError, linalg.SvdConvergenceError,
             deflate.ExpansionTooLargeError) as err:   # deflate, or --emit-deflated's expansion
         message, code = str(err), 2
     except MemoryError:

@@ -64,6 +64,7 @@ deliberately not used by ``value_at``/``jacobian_at``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import time
@@ -83,12 +84,10 @@ class RegularPointError(ValueError):
     """Deflation was requested at a point with full-column-rank Jacobian."""
 
 
-class NonFiniteJacobianError(ValueError):
-    """Deflation was requested at a point where the Jacobian is not finite."""
-
-
 class ExpansionTooLargeError(ValueError):
-    """The expanded system could exceed ``EXPAND_TERM_CAP`` terms."""
+    """The expanded system could exceed ``EXPAND_TERM_CAP`` terms, or, for an
+    export, holds a coefficient out of the float range, which ``parse_system``
+    would refuse to read back."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,9 +387,10 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
     ``newton.refine``, whose rank the singular-value trend may have lowered
     below the scaled cut. Without them the Jacobian is evaluated here, and
     one that is not finite (an overflowing point) raises
-    ``NonFiniteJacobianError``; the rank is then ``newton.read_rank`` of
-    this one spectrum at ``rank_tol``, which with no trend to read is the
-    scaled cut.
+    ``linalg.SvdConvergenceError``, as the least-squares solve does when
+    the stack [A(x0) mix; anchor] overflows; the rank is then
+    ``newton.read_rank`` of this one spectrum at ``rank_tol``, which with
+    no trend to read is the scaled cut.
     """
     linalg.check_tol(rank_tol)
     current = _as_deflated(system)
@@ -398,7 +398,7 @@ def deflate_once(system, x0, rank_tol: float = newton.NewtonOptions.rank_tol,
     if jacobian is None:
         jacobian = current.jacobian_at(x0)
         if not np.isfinite(jacobian).all():
-            raise NonFiniteJacobianError("Jacobian is not finite at the given point")
+            raise linalg.SvdConvergenceError("Jacobian is not finite at the given point")
     if rank is None:
         rank, _ = newton.read_rank([linalg.singular_values(jacobian).tolist()], rank_tol,
                                    newton.anchor_scale(current))
@@ -470,9 +470,12 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
     solve), lifts the point with the initial multipliers, and repeats. Stops
     on regular convergence, on a refinement that gives up (max_iter) or
     diverges, or at the stage cap; the cap is reported through the status,
-    not an exception. ``system`` may already carry stages, with ``x0`` in
-    its variables; the cap, ``deflations`` and the stage reports then count
-    only the stages this call adds.
+    not an exception. A stage that cannot be formed, because its multiplier
+    solve is not finite (``linalg.SvdConvergenceError``), is not added, and
+    the solve ends ``diverged`` as a refinement that cannot step does.
+    ``system`` may already carry stages, with ``x0`` in its variables; the
+    cap, ``deflations`` and the stage reports then count only the stages
+    this call adds.
 
     Each refinement leaves one corank and one inverse condition, those of
     its last iterate; stage k added here is reported from entries k and
@@ -503,9 +506,13 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
             break
         if len(current.stages) - given >= max_stages:
             break
-        current, multipliers = deflate_once(current, z, opts.rank_tol, rng,
-                                            jacobian=trace.factored,
-                                            rank=trace.ranks[-1])
+        try:
+            current, multipliers = deflate_once(current, z, opts.rank_tol, rng,
+                                                jacobian=trace.factored,
+                                                rank=trace.ranks[-1])
+        except linalg.SvdConvergenceError:   # the multiplier solve is not finite
+            status = newton.DIVERGED
+            break
         z = np.concatenate([z, multipliers])
 
     stage_reports = [
@@ -555,8 +562,19 @@ def deflate_loop(system, x0, opts: newton.NewtonOptions | None = None, *,
 # ---------------------------------------------------------------------------
 
 def format_deflated(deflated: DeflatedSystem) -> str:
-    """Expanded system text plus a comment block with each stage's draws."""
-    text = format_system(deflated.expand())
+    """Expanded system text plus a comment block with each stage's draws.
+
+    An expansion with a coefficient that is not finite (the parser's rule),
+    or one whose modulus overflows while ``expand`` builds it, raises
+    ``ExpansionTooLargeError``: no file is written that cannot be read back."""
+    try:
+        expanded = deflated.expand()
+        finite = all(cmath.isfinite(c) for p in expanded.equations for c in p.terms.values())
+    except OverflowError:   # abs() of a coefficient beyond the float range
+        finite = False
+    if not finite:
+        raise ExpansionTooLargeError("expanded system has a coefficient out of range")
+    text = format_system(expanded)
     lines = [text.rstrip("\n")]
     lines.append(f"# deflation stages: {len(deflated.stages)}")
     for k, stage in enumerate(deflated.stages, start=1):

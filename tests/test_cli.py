@@ -6,6 +6,7 @@ runs out of memory runs ``python -m polydeflate.cli`` in a child process,
 so that only the child's address space is capped.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from polydeflate import cli, deflate
+from polydeflate.cli import build_parser
 from polydeflate.polysys import parse_system
 
 import reference
@@ -281,6 +283,27 @@ def test_usage_error_exits_one(capsys):
     assert "required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, command", [
+    ([], None), (["foo"], None), (["solve"], "solve"),
+    (["deflate", "--seed", "x"], "deflate"), (["multiplicity", "--max-order", "1.5"], "multiplicity")],
+    ids=["no-command", "unknown-command", "solve-no-arguments", "deflate-bad-int",
+         "multiplicity-bad-int"])
+def test_usage_errors_print_their_parsers_usage_and_one_error_line(capsys, argv, command):
+    parser = build_parser()
+    if command is not None:   # the subcommand's own parser
+        parser = next(action.choices[command] for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    usage = parser.format_usage()
+    # the parser prints its usage, and its error is the command line's one usage error
+    with pytest.raises(cli.CliError) as caught:
+        build_parser().parse_args(argv)
+    assert caught.value.code == 1
+    assert capsys.readouterr().err == usage
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"{usage}error: {caught.value}\n"
+    assert "\n" not in str(caught.value)
+
+
 def test_deflate_writes_expanded_system(tmp_path, capsys):
     start = point_file(tmp_path, "p.json", [1e-3])
     out = tmp_path / "deflated.ps"
@@ -339,6 +362,79 @@ def test_deflate_overflowing_point_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
     assert not out.exists()
+
+
+# one equation whose coefficients are near the top of the float range
+EDGE = "1\nx y\n1e308*x + 1e308*y;\n"
+# {1e308 y, x}: a regular root at the origin that the scaled cut reads as
+# singular; its second stage's stack overflows
+TALL = "2\nx y\n1e308*y;\nx;\n"
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1, "least-squares input has a NaN or infinite entry"),
+    (4, "least-squares input has a NaN or infinite entry"),
+    (6, "expanded system has a coefficient out of range"),
+    (8, "expanded system has a coefficient out of range"),
+] + [(seed, None) for seed in (0, 2, 3, 5, 7, 9)])
+def test_deflate_at_the_top_of_the_float_range(tmp_path, capsys, seed, message):
+    system = tmp_path / "edge.ps"
+    system.write_text(EDGE)
+    out = tmp_path / "deflated.ps"
+    rc = cli.main(["deflate", "--system", str(system), "--seed", str(seed), "--out", str(out),
+                   "--point", point_file(tmp_path, "p.json", [0, 0])])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (rc, err) == (0, "")
+        assert parse_system(out.read_text()).nvars == 4
+    else:
+        assert (rc, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text, start, coranks", [
+    (TALL, [0, 0], [1, 2]), (TALL, [0, -1e-300], [1, 2]), (EDGE, [1e-3, 0], [1, 4])],
+    ids=["tall-origin", "tall-tiny", "edge"])
+def test_a_stage_that_cannot_be_formed_ends_diverged(tmp_path, capsys, text, start, coranks):
+    system = tmp_path / "edge.ps"
+    system.write_text(text)
+    out = tmp_path / "r.json"
+    rc = cli.main(["solve", "--system", str(system), "--out", str(out),
+                   "--point", point_file(tmp_path, "p.json", start)])
+    assert rc == 2
+    report = _strict_json(out.read_text())
+    assert (report["status"], report["deflations"]) == ("diverged", 1)
+    assert report["corank_sequence"] == coranks
+    assert capsys.readouterr().err == ""
+
+
+def test_a_batch_keeps_the_report_of_a_stage_that_cannot_be_formed(tmp_path, capsys):
+    system = tmp_path / "tall.ps"
+    system.write_text(TALL)
+    starts = write_json(tmp_path / "p.json", [[[0, 0], [0, 0]], [[0, 0], [-1e-300, 0]]])
+    out = tmp_path / "r.json"
+    rc = cli.main(["solve", "--system", str(system), "--points", starts, "--out", str(out)])
+    assert rc == 2
+    reports = _strict_json(out.read_text())
+    assert [(r["status"], r["corank_arrow"]) for r in reports] == [("diverged", "1 -> 2")] * 2
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("diverged") == 2
+
+
+def test_an_export_with_an_infinite_coefficient_exits_two(tmp_path, capsys):
+    # the second stage's expansion holds inf + 1e308 i, which would be
+    # written as "infi" and read back as an unknown variable
+    system = tmp_path / "edge.ps"
+    system.write_text("2\nx y z\n(1e308+1e308i)*z^1*x^1 + (0-1i)*y^2;\n"
+                      "(1e308+1e308i) + (0-1i)*z^1*x^2;\n")
+    out, emitted = tmp_path / "r.json", tmp_path / "deflated.ps"
+    rc = cli.main(["solve", "--system", str(system), "--max-deflations", "2",
+                   "--point", write_json(tmp_path / "p.json", [[0.5, 0], [1e-3, 0], [1e-3, 0]]),
+                   "--out", str(out), "--emit-deflated", str(emitted)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: expanded system has a coefficient out of range\n"
+    assert _strict_json(out.read_text())["deflations"] == 2
+    assert not emitted.exists()
 
 
 def test_multiplicity_double_root(tmp_path, capsys):

@@ -277,6 +277,13 @@ def test_deflate_once_regular_point_raises():
         deflate.deflate_once(system, [1.0], rank_tol=1e-8, rng_seed=0)
 
 
+def test_deflate_once_at_a_non_finite_jacobian_raises():
+    # x^4 at 1e200 overflows: the class the multiplier solve raises for the same hazard
+    system = parse_system("1\nx\nx^4;")
+    with pytest.raises(linalg.SvdConvergenceError, match="^Jacobian is not finite"):
+        deflate.deflate_once(system, [1e200])
+
+
 def test_deflate_once_input_validation(square):
     with pytest.raises(ValueError):
         deflate.deflate_once(square, [0.0], rank_tol=0.0)
@@ -1100,6 +1107,17 @@ def test_far_regular_coordinate_is_not_read_as_kernel(start):
     assert np.linalg.norm(report.solution[:2] - [1.0, 0.0]) <= 1e-8
 
 
+def test_loop_ends_diverged_when_a_stage_cannot_be_formed():
+    # the second stage's stack [J mix; anchor] overflows at 1e308: the
+    # stage is not added, and the solve ends as a step that cannot be taken
+    with np.errstate(over="ignore", invalid="ignore"):   # as the command line runs it
+        report = deflate.deflate_loop(parse_system("2\nx y\n1e308*y;\nx;"), [0.0, 0.0])
+    assert report.status == newton.DIVERGED
+    assert report.deflations == 1 and len(report.deflated.stages) == 1
+    assert report.corank_sequence == [1, 2]
+    assert report.solution.shape == (report.deflated.nvars,)
+
+
 def test_loop_rejects_wrong_point_length(square):
     with pytest.raises(ValueError):
         deflate.deflate_loop(square, [0.1, 0.2])
@@ -1121,6 +1139,33 @@ def test_format_deflated_round_trips(square):
     point = rng.normal(size=2) + 1j * rng.normal(size=2)
     assert np.linalg.norm(reparsed.value_at(point)
                           - extended.value_at(point)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [6, 8])
+def test_format_deflated_refuses_a_modulus_that_overflows(seed):
+    # the stage's coefficients are sums of two near 1e308; with these seeds
+    # the modulus of one is beyond the float range, and ``expand`` overflows
+    system = parse_system("1\nx y\n1e308*x + 1e308*y;")
+    extended, _ = deflate.deflate_once(system, [0.0, 0.0], rng_seed=seed)
+    with pytest.raises(OverflowError):
+        extended.expand()
+    with pytest.raises(deflate.ExpansionTooLargeError, match="^expanded system has a "
+                                                             "coefficient out of range$"):
+        deflate.format_deflated(extended)
+
+
+def test_format_deflated_refuses_a_coefficient_that_is_not_finite():
+    # two stages at 1e308 build an infinite coefficient without overflowing
+    # a modulus; written out, it would read back as the variable "infi"
+    system = parse_system("2\nx y z\n(1e308+1e308i)*z^1*x^1 + (0-1i)*y^2;\n"
+                          "(1e308+1e308i) + (0-1i)*z^1*x^2;")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = deflate.deflate_loop(system, [0.5, 1e-3, 1e-3], max_stages=2)
+    assert report.deflations == 2
+    coefficients = [c for p in report.deflated.expand().equations for c in p.terms.values()]
+    assert not all(map(np.isfinite, coefficients))
+    with pytest.raises(deflate.ExpansionTooLargeError, match="coefficient out of range$"):
+        deflate.format_deflated(report.deflated)
 
 
 # SHA-256 of the format_deflated texts of every stage, deflating at the
