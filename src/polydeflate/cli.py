@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from . import deflate, linalg, newton, oracle
-from .polysys import ParseError, check_point, parse_system
+from .polysys import ParseError, _fmt_real, check_point, parse_system
 
 
 class CliError(Exception):
@@ -63,9 +63,10 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _num(x) -> str:
-    """17 significant digits; null for None, inf and NaN, which JSON cannot hold."""
+    """17 significant digits, as an exported coefficient is written
+    (``polysys._fmt_real``); null for None, inf and NaN, which JSON cannot hold."""
     x = math.nan if x is None else float(x)
-    return "%.17g" % x if math.isfinite(x) else "null"
+    return _fmt_real(x) if math.isfinite(x) else "null"
 
 
 def _string(s) -> str:

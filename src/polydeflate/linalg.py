@@ -17,15 +17,15 @@ whose multiplier block is deficient takes the dense step, and so does
 every matrix under ``QR_MIN_COLS`` columns. ``singular_values`` is for
 callers that read only sigma. ``svd`` returns the factors in full (U square
 of size rows, V square of size cols) with ``A = U diag(sigma) V^H``, and
-``pseudo_solve`` applies its rank-truncated pseudoinverse; the package's own
-steps no longer call either, they serve the tests as the reference and
-perfbench's tracer, which wraps them by name. Rank decisions compare
-singular values against ``tol * sigma_1`` (``numerical_rank``, the rule
-gelsd applies through its ``rcond``); the solver layer additionally uses the
-scale-anchored variants at the bottom of this module, which judge
+``pseudo_solve`` applies its rank-truncated pseudoinverse; they serve the
+tests as the reference, and perfbench's tracer wraps them by name. Rank
+decisions compare singular values against ``tol * sigma_1``
+(``numerical_rank``, the rule gelsd applies through its ``rcond``); the
+solver layer reads its ranks through ``newton.read_rank``, which calls the
+scale-anchored primitives at the bottom of this module. They judge
 near-singular Jacobians against the coefficient scale of the system instead
-of against a leading singular value that itself vanishes toward the root.
-They read a spectrum as a Python list of floats, the one list a Newton
+of against a leading singular value that itself vanishes toward the root,
+and read a spectrum as a Python list of floats, the one list a Newton
 iterate makes of it, not as an array.
 
 Each check of an input runs once per call, and each kind of input has one
@@ -224,7 +224,7 @@ def least_squares(matrix, b, tol: float = 1e-8) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scale-anchored rank decisions for the solver layer
+# scale-anchored rank decisions, read through ``newton.read_rank``
 # ---------------------------------------------------------------------------
 
 def scaled_rank(sigma, tol: float, scale: float) -> int:

@@ -16,7 +16,7 @@ split of its Jacobian for the least-squares step. Its exit statuses:
     when the budget runs out on a corank above 0 read on the last three
     iterates, or when a step below ``_STEP_TOL`` leaves a corank above 0.
 ``max_iter``
-    the iteration budget ran out without either verdict.
+    the budget of ``MAX_ITERATIONS`` steps ran out without either verdict.
 ``diverged``
     no step can be taken from an iterate: its value or its Jacobian is not
     finite, or LAPACK failed to converge on the step (both raise
@@ -40,11 +40,14 @@ on a handful of values Python's float comparisons cost less than numpy's
 per-call overhead, and they compare the same doubles. The residual and
 step norms are taken by ``_norm``, which has ``np.linalg.norm``'s bits.
 
-Each iterate reads its corank once, through ``read_rank``; the stall rule,
-the convergence test, ``NewtonTrace.ranks`` and the rank handed on to
-deflation all use that one reading, and ``deflate.deflate_once`` reads a
-rank it is not handed through the same function. The corank is the larger
-of two counts:
+Each iterate reads its spectrum once, through ``read_rank``, which gives
+its rank, the trend's fall count and its inverse condition together. The
+stall rule, the convergence test, ``NewtonTrace.ranks`` and
+``inverse_conditions``, and the rank handed on to deflation all use that
+one reading; ``deflate.deflate_once`` reads a rank it is not handed, and
+``deflate.deflate_loop`` the original system's inverse condition, through
+the same function, so a change to the reading is made there alone. The
+corank is the larger of two counts:
 
 * the scale-anchored cut, the singular values at or below
   ``rank_tol * max(sigma_1, scale)`` (``linalg.scaled_rank``);
@@ -52,7 +55,7 @@ of two counts:
   each of the last two iterates and lie at or below
   ``sqrt(rank_tol) * scale``.
 
-``scale`` is the system's coefficient scale, clamped at 1 (``anchor_scale``).
+``scale`` is the system's coefficient scale, which ``read_rank`` clamps at 1.
 
 Toward a singular root the kernel's singular values shrink with the
 distance, and where J vanishes at the root (x^2 at 0) sigma_1 shrinks too,
@@ -97,17 +100,16 @@ _STEP_TOL = 1e-14
 # of the last two iterates (a double root halves its kernel value per step)
 # and lies at or below sqrt(rank_tol) * scale (module docstring)
 _TREND_FALL = 0.8
+# the steps ``refine`` takes before it gives up with ``max_iter``
+MAX_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    max_iterations: int = 50
     residual_tol: float = 1e-12
     rank_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         for name in ("residual_tol", "rank_tol"):
             linalg.check_tol(getattr(self, name), name)
 
@@ -116,11 +118,13 @@ class NewtonOptions:
 class NewtonTrace:
     """Per-iterate log: points, residual and step norms, rank diagnostics.
 
-    ``ranks`` holds the rank each iterate read, the smaller of the scaled
-    cut and the trend (module docstring); its corank is what the stall rule
-    and the convergence test saw. On a deflated Jacobian of 24 columns or
-    more, the rank and ``inverse_conditions`` are read from the structured
-    step's merged list, sigma(R_M) with sigma([J; S]) (module docstring).
+    ``ranks`` and ``inverse_conditions`` hold what ``read_rank`` read at
+    each iterate: the rank, the smaller of the scaled cut and the trend
+    (module docstring), whose corank is what the stall rule and the
+    convergence test saw, and sigma_min over max(sigma_1, scale). On a
+    deflated Jacobian of 24 columns or more, both are read from the
+    structured step's merged list, sigma(R_M) with sigma([J; S]) (module
+    docstring).
     ``factored`` is the Jacobian of the last iterate, which is the point
     ``refine`` returns; ``deflate_loop`` hands it to ``deflate_once`` with
     ``ranks[-1]``. It is None when the iteration diverged.
@@ -197,25 +201,25 @@ def _trend(history, ceiling: float):
     return falling, kernel
 
 
-def anchor_scale(system) -> float:
-    """The scale the rank decisions are anchored at: the system's coefficient
-    scale, but never below 1."""
-    return max(1.0, float(system.coefficient_scale))
-
-
 def read_rank(history, tol: float, scale: float):
-    """The rank of the last spectrum in ``history``, and the trend's fall count.
+    """The rank, the trend's fall count and the inverse condition of the last
+    spectrum in ``history``.
 
     ``history`` holds the descending singular values of up to the last three
-    iterates, oldest first, each as a Python list. The rank is the smaller
-    of the scaled cut (``linalg.scaled_rank``) and the size less the trend's
-    kernel (module docstring); with fewer than three spectra there is no
-    trend, and it is the scaled cut alone. Returns (rank, falling), ``falling`` counting the
-    trailing values that fall, in the kernel or not.
+    iterates, oldest first, each as a Python list. ``scale`` is a coefficient
+    scale; it is clamped at 1 here, and every cut reads the clamped value.
+    The rank is the smaller of the scaled cut (``linalg.scaled_rank``) and
+    the size less the trend's kernel (module docstring); with fewer than
+    three spectra there is no trend, and it is the scaled cut alone.
+    Returns (rank, falling, inverse_condition): ``falling`` counts the
+    trailing values that fall, in the kernel or not, and the inverse
+    condition is ``linalg.scaled_inverse_condition`` of the last spectrum.
     """
+    scale = max(1.0, float(scale))
     falling, kernel = _trend(history, math.sqrt(tol) * scale)
     sigma = history[-1]
-    return min(linalg.scaled_rank(sigma, tol, scale), len(sigma) - kernel), falling
+    rank = min(linalg.scaled_rank(sigma, tol, scale), len(sigma) - kernel)
+    return rank, falling, linalg.scaled_inverse_condition(sigma, scale)
 
 
 def refine(system, x0, opts: NewtonOptions | None = None):
@@ -223,7 +227,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     if opts is None:
         opts = NewtonOptions()
     x = check_point(x0, system.nvars, "start point")
-    scale = anchor_scale(system)
+    scale = system.coefficient_scale
     ncols = system.nvars
     # a deflated system's top stage splits its Jacobian for the step
     levels = getattr(system, "levels", ())
@@ -232,7 +236,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
     history = collections.deque(maxlen=3)
     exhausted = False
 
-    for iteration in range(opts.max_iterations + 1):
+    for iteration in range(MAX_ITERATIONS + 1):
         fx, jac = system.value_and_jacobian(x)
         residual = _norm(fx)
         try:
@@ -241,9 +245,9 @@ def refine(system, x0, opts: NewtonOptions | None = None):
             trace.record(x, residual, 0, math.nan)
             return x, DIVERGED, trace
         history.append(sigma.tolist())
-        rank, falling = read_rank(history, opts.rank_tol, scale)
+        rank, falling, inverse_condition = read_rank(history, opts.rank_tol, scale)
         corank = ncols - rank
-        trace.record(x, residual, rank, linalg.scaled_inverse_condition(history[-1], scale))
+        trace.record(x, residual, rank, inverse_condition)
 
         stall = _stall_pattern(trace.steps)
         corank_stable = (
@@ -256,7 +260,7 @@ def refine(system, x0, opts: NewtonOptions | None = None):
         if corank_stable and stall and falling <= corank:
             status = STALLED_SINGULAR
             break
-        if exhausted or iteration == opts.max_iterations:
+        if exhausted or iteration == MAX_ITERATIONS:
             # out of steps or of budget: a corank read on the whole window,
             # or on an iterate that cannot move, still asks for deflation
             singular = corank_stable or (corank > 0 and exhausted)

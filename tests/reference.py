@@ -331,11 +331,13 @@ def array_scaled_inverse_condition(sigma, scale: float) -> float:
 
 
 def array_read_rank(history, tol: float, scale: float):
-    """``newton.read_rank`` by numpy: the smaller of the scaled cut and the size
-    less the trend's kernel, with the trend's fall count."""
+    """``newton.read_rank`` by numpy at a scale taken as it is, not clamped:
+    the smaller of the scaled cut and the size less the trend's kernel, the
+    trend's fall count, and the inverse condition."""
     falling, kernel = cumprod_trend(history, math.sqrt(tol) * scale)
     sigma = history[-1]
-    return min(array_scaled_rank(sigma, tol, scale), len(sigma) - kernel), falling
+    return (min(array_scaled_rank(sigma, tol, scale), len(sigma) - kernel), falling,
+            array_scaled_inverse_condition(sigma, scale))
 
 
 def concatenated_value(system, z, levels: int):

@@ -244,6 +244,25 @@ def test_a_byte_order_mark_is_read_past(tmp_path, capsys, flag):
     assert runs[1] == runs[0]
 
 
+@pytest.mark.parametrize("flag, content, message", [
+    ("--points", "[[[0.1, 0.0]], 5]", "{bad}[1]: expected a JSON array of [re, im] pairs"),
+    ("--point", '{"x": [0.1, 0.0]}', "{bad}: expected a JSON array of [re, im] pairs"),
+    ("--point", "not json", "{bad}: invalid JSON (Expecting value at line 1)"),
+    ("--points", "[]", "{bad}: expected a non-empty JSON array of points"),
+    ("--point", "[[0.1, 0.0]]", "cannot write {out}: No such file or directory"),
+], ids=["points-entry-not-an-array", "point-not-an-array", "invalid-json", "empty-points",
+        "unwritable-out"])
+def test_unusable_files_are_one_line_errors(tmp_path, capsys, flag, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    # a directory that does not exist: the last case solves, then cannot write
+    out = tmp_path / "absent" / "r.json"
+    rc = cli.main(["solve", "--system", fixture("square.ps"), flag, str(bad), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message.format(bad=bad, out=out)}\n"
+    assert not out.exists()
+
+
 def test_wrong_point_length_exits_one(tmp_path, capsys):
     start = point_file(tmp_path, "p.json", [0.1, 0.2])
     rc = cli.main(["solve", "--system", fixture("square.ps"),

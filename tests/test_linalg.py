@@ -144,6 +144,13 @@ def test_numerical_rank_tolerance_domain():
             linalg.numerical_rank(decomp.sigma, bad)
 
 
+def test_pseudo_solve_at_rank_zero_is_the_zero_vector():
+    decomp = linalg.svd(np.ones((3, 2)))
+    x = linalg.pseudo_solve(decomp, [1.0, 2.0, 3.0], 0)
+    assert x.dtype == complex
+    np.testing.assert_array_equal(x, np.zeros(2))
+
+
 def test_least_squares_identity():
     x = linalg.least_squares(np.eye(2), np.array([1.0, 2.0j]))
     assert np.allclose(x, [1.0, 2.0j])

@@ -1,4 +1,3 @@
-import types
 import warnings
 
 import numpy as np
@@ -20,7 +19,9 @@ def unit_quadratic():
 
 def first_step(system, x0):
     """The first Gauss-Newton iterate of ``refine`` and the rank it judged."""
-    _, _, trace = newton.refine(system, x0, newton.NewtonOptions(max_iterations=1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newton, "MAX_ITERATIONS", 1)
+        _, _, trace = newton.refine(system, x0)
     return trace.points[1], trace.ranks[0]
 
 
@@ -122,17 +123,24 @@ def test_read_rank_is_the_scaled_cut_until_a_trend_shows():
     cut = linalg.scaled_rank(sigma, 1e-8, 1.0)
     assert cut == 2
     for history in ([sigma], [sigma, sigma], [sigma] * 3):
-        assert newton.read_rank(history, 1e-8, 1.0) == (cut, 0)
+        assert newton.read_rank(history, 1e-8, 1.0) == (cut, 0, 5e-10)
     # the second value halves per iterate: falling, but in the kernel only
     # once at or below the ceiling sqrt(1e-8) * scale
-    assert newton.read_rank([[1.0, 4e-3], [1.0, 2e-3], [1.0, 1e-3]], 1e-8, 1.0) == (2, 1)
-    assert newton.read_rank([[1.0, 4e-3], [1.0, 2e-3], [1.0, 1e-3]], 1e-8, 10.0) == (1, 1)
+    halving = [[1.0, 4e-3], [1.0, 2e-3], [1.0, 1e-3]]
+    assert newton.read_rank(halving, 1e-8, 1.0) == (2, 1, 1e-3)
+    assert newton.read_rank(halving, 1e-8, 10.0) == (1, 1, 1e-3 / 10.0)
 
 
 @pytest.mark.parametrize("coefficient_scale, scale", [(0.25, 1.0), (1.0, 1.0), (3.5, 3.5)])
-def test_anchor_scale_clamps_at_one(coefficient_scale, scale):
-    system = types.SimpleNamespace(coefficient_scale=coefficient_scale)
-    assert newton.anchor_scale(system) == scale
+def test_read_rank_clamps_the_scale_at_one(coefficient_scale, scale):
+    # sigma_1 = 0.5 lies below every scale, so the cut and the inverse
+    # condition read the scale; 7.5e-9 lies between the cuts at scales 0.25
+    # and 1, and 7.5e-5 between the trend's ceilings there
+    for history in ([[0.5, 7.5e-9]], [[0.5, 3e-4], [0.5, 1.5e-4], [0.5, 7.5e-5]]):
+        reading = newton.read_rank(history, 1e-8, coefficient_scale)
+        assert reading == array_read_rank(history, 1e-8, scale)
+        if coefficient_scale < 1:   # the clamp shows
+            assert reading != array_read_rank(history, 1e-8, coefficient_scale)
 
 
 CEILING = 1e-4   # sqrt(rank_tol) * scale at the defaults
@@ -241,10 +249,10 @@ def test_refine_rejects_wrong_length(square):
         newton.refine(square, [0.1, 0.2])
 
 
-def test_refine_trace_budget(square):
-    opts = newton.NewtonOptions(max_iterations=5)
-    _, status, trace = newton.refine(square, [0.1], opts)
-    assert len(trace.points) <= opts.max_iterations + 1
+def test_refine_trace_budget(square, monkeypatch):
+    monkeypatch.setattr(newton, "MAX_ITERATIONS", 5)
+    _, status, trace = newton.refine(square, [0.1])
+    assert len(trace.points) <= newton.MAX_ITERATIONS + 1
     assert status == newton.MAX_ITER
 
 
@@ -315,8 +323,6 @@ def test_correct_digits_names_the_mismatch(x, x_ref, message):
 
 def test_options_validate():
     with pytest.raises(ValueError):
-        newton.NewtonOptions(max_iterations=0)
-    with pytest.raises(ValueError):
         newton.NewtonOptions(residual_tol=0.0)
     with pytest.raises(ValueError):
         newton.NewtonOptions(rank_tol=1.5)
@@ -337,17 +343,17 @@ FIXTURE_ROOTS = {name: 1.0 if name == "kss5.ps" else 0.0 for name in (
 
 @pytest.mark.parametrize("iterations", [1, 5, 50])
 @pytest.mark.parametrize("name", FIXTURE_ROOTS)
-def test_a_singular_stall_has_a_corank(name, iterations):
+def test_a_singular_stall_has_a_corank(name, iterations, monkeypatch):
     # deflate_loop stops on any other status than stalled_singular and relies
     # on this: refine gives that status at a corank above 0 only
     system = load_fixture(name)
-    opts = newton.NewtonOptions(max_iterations=iterations)
+    monkeypatch.setattr(newton, "MAX_ITERATIONS", iterations)
     statuses = []
     for seed in range(4):
         rng = np.random.default_rng(seed)
         u = rng.normal(size=system.nvars) + 1j * rng.normal(size=system.nvars)
         start = FIXTURE_ROOTS[name] + 1e-3 * u / np.linalg.norm(u)
-        _, status, trace = newton.refine(system, start, opts)
+        _, status, trace = newton.refine(system, start)
         statuses.append(status)
         if status == newton.STALLED_SINGULAR:
             assert trace.ranks[-1] < system.nvars

@@ -75,6 +75,11 @@ def test_column_cap_enforced(cross_cubes):
         oracle.macaulay_matrix(cross_cubes, [0.0, 0.0, 0.0], 40)
 
 
+def test_macaulay_matrix_refuses_a_negative_order(square):
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        oracle.macaulay_matrix(square, [0.0], -1)
+
+
 def test_macaulay_column_count_is_binomial(cubic_trio):
     from math import comb
 

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -80,6 +81,48 @@ def test_parse_error_missing_polynomials():
         parse_system("2\nx\nx;")
     with pytest.raises(ParseError):
         parse_system("1\nx\nx; x^2;")
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("1\n", 1, 1, "missing variable declaration line"),
+    ("# heading\n1  # count\n", 2, 1, "missing variable declaration line"),
+    ("1\nx 2y\nx;", 2, 3, "invalid variable name '2y'"),
+    ("1\n# names\n  x y$\nx;", 3, 5, "invalid variable name 'y$'"),
+])
+def test_header_errors_carry_their_location(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_system(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+X = Polynomial(1, {(1,): 1.0})
+XY = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})
+
+
+# the parser checks names before it builds a system, so these rules are
+# reached by direct construction only
+@pytest.mark.parametrize("build, message", [
+    (lambda: PolySystem([], ["x"]), "empty system"),
+    (lambda: PolySystem([X], []), "a system needs at least one variable"),
+    (lambda: PolySystem([XY], ["x", "x"]), "duplicate variable names"),
+    (lambda: PolySystem([X], ["2x"]), "invalid variable name '2x'"),
+    (lambda: PolySystem([X], ["x", "y"]), "equation variable count does not match names"),
+    (lambda: PolyMatrix([]), "a polynomial matrix needs at least one entry"),
+    (lambda: PolyMatrix([[]]), "a polynomial matrix needs at least one entry"),
+    (lambda: PolyMatrix([[X, X], [X]]), "ragged polynomial matrix"),
+    (lambda: PolyMatrix([[X, XY]]), "matrix entries must share the variable space"),
+    (lambda: PolyMatrix([[X, X]]).right_multiply(np.eye(3)), "inner dimensions do not match"),
+    (lambda: X ** -1, "polynomial powers must be nonnegative integers"),
+    (lambda: XY.format(["x"]), "need one name per variable"),
+    (lambda: X + XY, "mixing polynomials in 1 and 2 variables"),
+], ids=["system-empty", "system-no-variables", "system-duplicate-names",
+        "system-invalid-name", "system-count-mismatch", "matrix-empty", "matrix-empty-row",
+        "matrix-ragged", "matrix-mixed-spaces", "matrix-inner-dimension",
+        "power-negative", "format-name-count", "sum-mixed-spaces"])
+def test_constructions_that_break_a_rule_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_evaluate_cubic_trio_origin_and_ones(cubic_trio):
